@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, output, schur, sweep
-from .dynamics import mcd_series, series_average
+from .dynamics import check_mcd_window, mcd_series, series_average
 from .errors import ComputationError
 from .sequence import (
     CoinAngles,
@@ -404,15 +404,8 @@ def _run_spectrum(params: dict) -> tuple[str, dict]:
 
 
 def _run_mcd(params: dict) -> tuple[str, dict]:
-    config = _walk_config(params)
-    if params["n"] < 8:
-        raise _CliError(f"mcd needs n >= 8, got {params['n']}")
-    if params["steps"] >= params["n"] / 2.0:
-        raise _CliError(
-            f"time window {params['steps']} reaches the boundaries: need "
-            f"steps < n/2 = {params['n'] / 2:g}"
-        )
-    series = mcd_series(config, params["steps"], params["coin_policy"])
+    check_mcd_window(params["n"], params["steps"])
+    series = mcd_series(_walk_config(params), params["steps"], params["coin_policy"])
     value = series_average(series, params["convention"])
     header, rows = output.mcd_rows(series)
     output.write_table(params["output"], header, rows, params["format"])

@@ -95,26 +95,31 @@ def series_average(series: McdSeries, convention: str = "mean") -> float:
     raise ValueError(f"convention must be 'mean' or 'cesaro', got {convention!r}")
 
 
+def check_mcd_window(n_sites: int, steps: int) -> None:
+    """Validate an MCD averaging window: n_sites >= 8 and 1 <= steps < n_sites/2.
+
+    The upper bound keeps the light cone of a center-started walker off the
+    boundaries; breaking it raises BoundaryContaminationError.
+    """
+    if n_sites < 8:
+        raise ValueError(f"MCD averages need n >= 8 sites, got {n_sites}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps >= n_sites / 2.0:
+        raise BoundaryContaminationError(
+            f"time window {steps} reaches the boundaries: need steps < "
+            f"n/2 = {n_sites / 2:g}"
+        )
+
+
 def mcd_time_average(
     config: WalkConfig,
     steps: int,
     coin_policy=BASIS_AVERAGE,
     convention: str = "mean",
 ) -> McdAverage:
-    """Long-time MCD average over t = 1..steps.
-
-    Requires steps < n_sites/2 (boundary avoidance) and a lattice of at
-    least 8 sites.
-    """
-    if config.n_sites < 8:
-        raise ValueError(f"n_sites must be >= 8 for MCD averages, got {config.n_sites}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if steps >= config.n_sites / 2.0:
-        raise BoundaryContaminationError(
-            f"time window {steps} reaches the boundaries: need steps < "
-            f"n_sites/2 = {config.n_sites / 2:g}"
-        )
+    """Long-time MCD average over t = 1..steps, a window check_mcd_window accepts."""
+    check_mcd_window(config.n_sites, steps)
     series = mcd_series(config, steps, coin_policy)
     return McdAverage(
         value=series_average(series, convention),

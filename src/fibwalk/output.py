@@ -108,13 +108,3 @@ def sweep_rows(diagram: PhaseDiagram) -> tuple[list[str], list[list]]:
     ]
     return ["theta_a", "theta_b", "value", "status", "kind", "termination"], rows
 
-
-def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Debug export of a dense matrix as (row, col, re, im) rows."""
-    m = np.asarray(matrix)
-    lines = ["row,col,re,im"]
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            v = complex(m[i, j])
-            lines.append(f"{i},{j},{fmt(v.real)},{fmt(v.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")

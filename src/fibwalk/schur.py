@@ -17,6 +17,10 @@ gamma_n, so the recursion is short-circuited there: this is the masking
 effect, and it also removes the 0/0 ambiguity the raw formula would hit at
 isolated contour points.
 
+One backward pass carries the derivative along with the value and returns
+the pair (f_0, df_0/dz); winding_of_function consumes that pair and uses
+|f'/f| to refine the contour where the phase of f_0 moves fast.
+
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
 adaptive bisection (winding_number), and root counting of the explicit
@@ -100,30 +104,10 @@ def reflection_params(
     return SchurParams(gammas=reflection_amplitudes(angles), **contour)
 
 
-def _eval_circle(gammas: np.ndarray, s: int, z: np.ndarray) -> np.ndarray:
-    w = z**s
-    reflectors = np.flatnonzero(np.abs(gammas) >= 1.0)
-    if reflectors.size:
-        start = int(reflectors[0])
-        f = np.full(z.shape, complex(gammas[start]), dtype=np.complex128)
-    else:
-        start = gammas.size
-        f = np.zeros(z.shape, dtype=np.complex128)
-    for n in range(start - 1, -1, -1):
-        g = gammas[n]
-        wf = w * f
-        den = 1.0 + g * wf
-        if np.min(np.abs(den)) < _DENOMINATOR_FLOOR:
-            raise PoleOnContourError(
-                f"Schur denominator vanished at recursion step {n} (gamma={float(g)!r})"
-            )
-        f = (g + wf) / den
-    return f
-
-
-def _eval_circle_with_derivative(
+def _eval_circle(
     gammas: np.ndarray, s: int, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(f_0, df_0/dz) at the points z, from one backward pass."""
     # d/dz of the Möbius step is (wf)' (1 - gamma^2) / den^2 with w = z^s.
     w = z**s
     dw = s * z ** (s - 1)
@@ -154,7 +138,7 @@ def schur_eval(params: SchurParams, z):
     zv = np.asarray(z, dtype=np.complex128)
     if np.max(np.abs(zv)) > 1.0 + 1e-12:
         raise ValueError("the Schur function is only evaluated on |z| <= 1")
-    out = _eval_circle(params.active_gammas(), params.steps_per_site, np.atleast_1d(zv))
+    out, _ = _eval_circle(params.active_gammas(), params.steps_per_site, np.atleast_1d(zv))
     return complex(out[0]) if zv.ndim == 0 else out.reshape(zv.shape)
 
 
@@ -169,24 +153,24 @@ def winding_of_function(
     samples: int = DEFAULT_SAMPLES,
     min_modulus: float = DEFAULT_MIN_MODULUS,
     max_refine_depth: int = DEFAULT_MAX_REFINE_DEPTH,
-    derivative=None,
 ) -> WindingResult:
     """Winding of fn(z) around 0 as z runs over the unit circle.
 
-    fn maps an array of contour points to complex values.  Phase increments
-    between neighbouring samples are taken in (-pi, pi]; an interval is
-    bisected (up to max_refine_depth) when its increment exceeds pi/2, an
-    endpoint modulus drops below min_modulus, or the chord |f_{k+1} - f_k|
-    is comparable to the distance of the endpoints from the origin -- the
-    last trigger catches zeros near the contour, whose nearly full-turn
-    phase jumps would otherwise alias to small increments.
+    fn maps an array of contour points to the pair (f, df/dz), two complex
+    arrays of the same shape.  Phase increments between neighbouring
+    samples are taken in (-pi, pi]; an interval is bisected (up to
+    max_refine_depth) when its increment exceeds pi/2, an endpoint modulus
+    drops below min_modulus, or the chord |f_{k+1} - f_k| is comparable to
+    the distance of the endpoints from the origin -- the last trigger
+    catches zeros near the contour, whose nearly full-turn phase jumps
+    would otherwise alias to small increments.
 
     A zero just inside paired with a zero just outside the circle traces a
     tight loop around the origin that samples alone cannot see (the loop
-    closes on itself between neighbouring points).  When a `derivative`
-    callable is supplied, intervals with estimated phase motion
-    |dz| * |f'/f| above one radian are bisected too, which tracks such
-    loops down to the refinement depth limit.
+    closes on itself between neighbouring points).  Intervals with
+    estimated phase motion |dz| * |f'/f| above one radian are therefore
+    bisected too, which tracks such loops down to the refinement depth
+    limit.
 
     The result is flagged ambiguous when refinement is exhausted, the
     minimum modulus stays below min_modulus, or the unwrapped total is not
@@ -195,21 +179,19 @@ def winding_of_function(
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
 
-    def _logd(zs, fv):
-        if derivative is None:
-            return np.zeros(len(zs))
+    def _logd(fv, dfv):
         mods = np.abs(fv)
         with np.errstate(divide="ignore"):
-            return np.where(mods > 0.0, np.abs(derivative(zs)) / mods, np.inf)
+            return np.where(mods > 0.0, np.abs(dfv) / mods, np.inf)
 
     angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     ring = np.exp(1j * angles)
-    f_ring = fn(ring)
+    f_ring, df_ring = fn(ring)
     if np.max(np.abs(f_ring)) < min_modulus:
         raise NoReflectionError(
             f"|f| < {min_modulus:g} on the whole contour; winding undefined"
         )
-    ld_ring = _logd(ring, f_ring)
+    ld_ring = _logd(f_ring, df_ring)
     angles = np.append(angles, 2.0 * np.pi)
     fvals = np.append(f_ring, f_ring[0])
     logd = np.append(ld_ring, ld_ring[0])
@@ -240,11 +222,11 @@ def winding_of_function(
         idx = np.flatnonzero(splittable)
         mid_angles = (angles[idx] + angles[idx + 1]) / 2.0
         mid_z = np.exp(1j * mid_angles)
-        mid_vals = fn(mid_z)
+        mid_vals, mid_derivs = fn(mid_z)
         min_abs = min(min_abs, float(np.min(np.abs(mid_vals))))
         angles = np.insert(angles, idx + 1, mid_angles)
         fvals = np.insert(fvals, idx + 1, mid_vals)
-        logd = np.insert(logd, idx + 1, _logd(mid_z, mid_vals))
+        logd = np.insert(logd, idx + 1, _logd(mid_vals, mid_derivs))
         depth = np.repeat(np.where(splittable, depth + 1, depth),
                           np.where(splittable, 2, 1))
 
@@ -264,14 +246,11 @@ def winding_of_function(
 
 def winding_number(params: SchurParams) -> WindingResult:
     """Schur winding number by contour phase unwrapping."""
-    gammas = params.active_gammas()
-    s = params.steps_per_site
     return winding_of_function(
-        partial(_eval_circle, gammas, s),
+        partial(_eval_circle, params.active_gammas(), params.steps_per_site),
         samples=params.samples,
         min_modulus=params.min_modulus,
         max_refine_depth=params.max_refine_depth,
-        derivative=lambda z: _eval_circle_with_derivative(gammas, s, z)[1],
     )
 
 

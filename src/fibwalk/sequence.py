@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_RATIO_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_SUBSTITUTION_ORDER = 30  # F_30 ~ 1.3e6 letters

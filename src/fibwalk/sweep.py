@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import schur
-from .dynamics import BASIS_AVERAGE, mcd_time_average
+from .dynamics import BASIS_AVERAGE, check_mcd_window, mcd_time_average
 from .errors import ComputationError
 from .sequence import (
     CoinAngles,
@@ -152,10 +152,7 @@ def sweep_mcd(
     workers: int | None = 1,
 ) -> PhaseDiagram:
     """Long-time MCD average per grid cell."""
-    if steps >= n_sites / 2.0:
-        raise ValueError(
-            f"steps {steps} must stay below n_sites/2 = {n_sites / 2:g}"
-        )
+    check_mcd_window(n_sites, steps)
     word = word_for_termination(n_sites, termination)
     cell_fn = partial(
         _mcd_cell, word=word, steps=steps,

@@ -63,6 +63,33 @@ def test_mcd_rejects_boundary_contamination(tmp_path, capsys):
     assert "steps < n/2" in err
 
 
+def test_mcd_rejects_empty_window(tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(
+        capsys, "mcd", "--theta-a", "0", "--theta-b", "0",
+        "--n", "64", "--steps", "0", "--output", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert "steps must be >= 1" in err
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
+
+
+def test_mcd_map_rejects_empty_window_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("cells evaluated despite an invalid window")
+
+    monkeypatch.setattr("fibwalk.sweep._run_cells", no_cells)
+    out_path = tmp_path / "m.csv"
+    code, _, err = run(
+        capsys, "mcd-map", "--resolution", "2", "--n", "64", "--steps", "0",
+        "--workers", "2", "--output", str(out_path),
+    )
+    assert code == 1
+    assert "steps must be >= 1" in err
+    assert not out_path.exists()
+
+
 def test_no_reflection_is_a_computation_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "winding", "--theta-a", "1.5707963267948966", "--theta-b",

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fibwalk.output import fmt, write_matrix_csv, write_table
+from fibwalk.output import fmt, write_table
 
 
 def test_fmt_styles():
@@ -25,12 +25,3 @@ def test_write_table_json(tmp_path):
     text = path.read_text()
     assert '"columns"' in text and "0.5" in text and "true" in text
 
-
-def test_matrix_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    write_matrix_csv(path, np.array([[1.0, 1j], [0.0, -0.5j]]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert lines[1] == "0,0,1,0"
-    assert lines[2] == "0,1,0,1"
-    assert lines[4] == "1,1,0,-0.5"

@@ -8,6 +8,7 @@ from fibwalk.errors import (
 )
 from fibwalk.schur import (
     SchurParams,
+    _eval_circle,
     reflection_params,
     schur_eval,
     symmetry_point_values,
@@ -80,7 +81,7 @@ def test_winding_quartet_at_the_flagship_point():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_synthetic_monomials(k):
-    result = winding_of_function(lambda z: z**k, samples=256)
+    result = winding_of_function(lambda z: (z**k, k * z ** (k - 1)), samples=256)
     assert result.winding == k
     assert not result.ambiguous
 
@@ -96,6 +97,21 @@ def test_pole_on_contour_error():
     params = SchurParams(gammas=np.array([1.0 - 5e-15, 1.0]), steps_per_site=2)
     with pytest.raises(PoleOnContourError):
         schur_eval(params, 1j)
+    with pytest.raises(PoleOnContourError):
+        winding_number(params)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_derivative_matches_central_difference(s):
+    rng = np.random.default_rng(20 + s)
+    gammas = rng.uniform(-0.9, 0.9, size=24)
+    z = circle(97)
+    h = 1e-6
+    f, fp = _eval_circle(gammas, s, z)
+    f_plus, _ = _eval_circle(gammas, s, z * np.exp(1j * h))
+    f_minus, _ = _eval_circle(gammas, s, z * np.exp(-1j * h))
+    central = (f_plus - f_minus) / (z * np.exp(1j * h) - z * np.exp(-1j * h))
+    assert np.max(np.abs(fp - central)) < 1e-6 * max(1.0, float(np.max(np.abs(fp))))
 
 
 def test_oracle_examples():
