@@ -30,6 +30,7 @@ from .schur import (
     schur_eval,
     symmetry_point_values,
     winding_number,
+    winding_numbers,
     winding_of_function,
     winding_oracle,
 )

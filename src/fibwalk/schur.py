@@ -18,8 +18,19 @@ effect, and it also removes the 0/0 ambiguity the raw formula would hit at
 isolated contour points.
 
 One backward pass carries the derivative along with the value and returns
-the pair (f_0, df_0/dz); winding_of_function consumes that pair and uses
+the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
+
+Chains of one length are refined as one batch (winding_numbers; a single
+chain or function is a batch of one).  Each round concatenates the new
+contour points of every unfinished member, tagged with an owner index, and
+runs one backward pass over them.  The trailing sites where every member
+has the same gamma -- letters[3:] for the four prefix terminations, the
+whole chain on theta_a = +-theta_b -- form a shared suffix whose steps run
+once per distinct point; only the members' own prefix steps run per
+(member, point).  Every point goes through the same floating-point
+operations as in a single-member call, and a pole, a missing reflection or
+an exhausted refinement ends only the member it belongs to.
 
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
@@ -30,11 +41,15 @@ numerator/denominator polynomials (winding_oracle, small systems only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import IndeterminateRootError, NoReflectionError, PoleOnContourError
+from .errors import (
+    ComputationError,
+    IndeterminateRootError,
+    NoReflectionError,
+    PoleOnContourError,
+)
 from .sequence import CoinAngles, Standard, Termination, angles_for
 from .sequence import reflection_amplitudes, word_for_termination
 
@@ -104,32 +119,109 @@ def reflection_params(
     return SchurParams(gammas=reflection_amplitudes(angles), **contour)
 
 
+def _reflector_start(gammas: np.ndarray) -> int:
+    """Index of the first site with |gamma| = 1, or the chain length if none."""
+    reflectors = np.flatnonzero(np.abs(gammas) >= 1.0)
+    return int(reflectors[0]) if reflectors.size else gammas.size
+
+
+def _mobius(rows, starts, owner, s, z, f, fp):
+    """Backward Möbius steps at the points z, carrying the derivative along.
+
+    Point k follows row owner[k] of rows from column starts[owner[k]] - 1
+    down to column 0, starting from the values f[k] and fp[k].  Returns
+    (f, fp, pole) where pole[k] is the highest column whose denominator
+    fell below the floor at point k (-1 if none); such a point is NaN from
+    that step on, so only the member it belongs to is affected.
+    """
+    # d/dz of the Möbius step is (wf)' (1 - gamma^2) / den^2 with w = z^s.
+    w = z**s
+    dw = s * z ** (s - 1)
+    first = starts[owner]
+    top = int(first.max(initial=0))
+    staggered = bool((first < top).any())
+    live = True
+    pole = np.full(z.shape, -1)
+    with np.errstate(invalid="ignore"):  # dividing by a NaN den
+        for n in range(top - 1, -1, -1):
+            g = rows[0, n] if len(rows) == 1 else rows[owner, n]
+            wf = w * f
+            dwf = dw * f + w * fp
+            den = 1.0 + g * wf
+            tiny = np.abs(den) < _DENOMINATOR_FLOOR
+            if staggered:
+                live = first > n
+            if tiny.any():
+                pole[tiny & live] = n
+                den[tiny] = np.nan
+            step_f = (g + wf) / den
+            step_fp = dwf * (1.0 - g * g) / (den * den)
+            if staggered:
+                f, fp = np.where(live, step_f, f), np.where(live, step_fp, fp)
+            else:
+                f, fp = step_f, step_fp
+    return f, fp, pole
+
+
+def _chain_evaluator(chains: list[np.ndarray], s: int):
+    """evaluate(z, owner) -> (f_0, f_0', errors) for chains of one length.
+
+    Point k of z belongs to chain owner[k].  Each chain starts at its first
+    reflector.  The trailing sites where every chain has the same gamma
+    form the shared suffix: its steps run once per distinct point, for the
+    chains that start inside it; each chain's own prefix steps then run
+    per (chain, point).  errors maps each chain whose denominator vanished
+    at one of its points to a PoleOnContourError.
+    """
+    table = np.pad(np.stack(chains), ((0, 0), (0, 1)))  # f = 0 past the last site
+    starts = np.array([_reflector_start(c) for c in chains])
+    differs = np.flatnonzero((table != table[0]).any(axis=0))
+    split = int(differs[-1]) + 1 if differs.size else 0
+    # Chains that reach the suffix all start at its first reflector.
+    top = int(starts.max())
+    suffix_start = np.array([top - split])
+    heads = np.minimum(starts, split)
+
+    def evaluate(z, owner):
+        f = table[owner, starts[owner]].astype(np.complex128)
+        fp = np.zeros(z.shape, dtype=np.complex128)
+        pole = np.full(z.shape, -1)
+        shared = starts[owner] >= split
+        if shared.any():
+            points, back = z[shared], slice(None)
+            if len(table) > 1:  # members reach the same contour points
+                points, back = np.unique(points, return_inverse=True)
+            sf, sfp, spole = _mobius(
+                table[:1, split:], suffix_start, np.zeros(points.size, dtype=np.intp),
+                s, points, np.full(points.shape, table[0, top], dtype=np.complex128),
+                np.zeros(points.shape, dtype=np.complex128),
+            )
+            f[shared], fp[shared] = sf[back], sfp[back]
+            pole[shared] = np.where(spole[back] >= 0, spole[back] + split, -1)
+        if split:
+            f, fp, head_pole = _mobius(table[:, :split], heads, owner, s, z, f, fp)
+            pole = np.maximum(pole, head_pole)
+        errors = {}
+        failed = pole >= 0
+        if failed.any():
+            for m in np.unique(owner[failed]):
+                n = int(pole[owner == m].max())
+                errors[int(m)] = PoleOnContourError(
+                    f"Schur denominator vanished at recursion step {n} "
+                    f"(gamma={float(table[m, n])!r})"
+                )
+        return f, fp, errors
+
+    return evaluate
+
+
 def _eval_circle(
     gammas: np.ndarray, s: int, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f_0, df_0/dz) at the points z, from one backward pass."""
-    # d/dz of the Möbius step is (wf)' (1 - gamma^2) / den^2 with w = z^s.
-    w = z**s
-    dw = s * z ** (s - 1)
-    reflectors = np.flatnonzero(np.abs(gammas) >= 1.0)
-    if reflectors.size:
-        start = int(reflectors[0])
-        f = np.full(z.shape, complex(gammas[start]), dtype=np.complex128)
-    else:
-        start = gammas.size
-        f = np.zeros(z.shape, dtype=np.complex128)
-    fp = np.zeros(z.shape, dtype=np.complex128)
-    for n in range(start - 1, -1, -1):
-        g = gammas[n]
-        wf = w * f
-        dwf = dw * f + w * fp
-        den = 1.0 + g * wf
-        if np.min(np.abs(den)) < _DENOMINATOR_FLOOR:
-            raise PoleOnContourError(
-                f"Schur denominator vanished at recursion step {n} (gamma={float(g)!r})"
-            )
-        f = (g + wf) / den
-        fp = dwf * (1.0 - g * g) / (den * den)
+    f, fp, errors = _chain_evaluator([gammas], s)(z, np.zeros(z.shape, dtype=np.intp))
+    if errors:
+        raise errors[0]
     return f, fp
 
 
@@ -146,6 +238,136 @@ def symmetry_point_values(params: SchurParams) -> tuple[complex, complex]:
     """(f_0(+1), f_0(-1)); a diagnostic that cannot resolve higher windings."""
     vals = schur_eval(params, np.array([1.0, -1.0], dtype=np.complex128))
     return complex(vals[0]), complex(vals[1])
+
+
+def _logd(fv, dfv):
+    """|f'/f|, infinite where f vanishes."""
+    mods = np.abs(fv)
+    with np.errstate(divide="ignore"):
+        return np.where(mods > 0.0, np.abs(dfv) / mods, np.inf)
+
+
+class _Contour:
+    """Adaptive contour of one member: sample angles, f and |f'/f| there,
+    and the bisection depth of every interval."""
+
+    def __init__(self, samples: int, min_modulus: float, max_refine_depth: int):
+        if samples < 16:
+            raise ValueError(f"samples must be >= 16, got {samples}")
+        self.min_modulus = min_modulus
+        self.max_refine_depth = max_refine_depth
+        self.angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        self.fvals = None
+        self.exhausted = False
+        self.pending = self.angles  # angles whose f is needed next
+
+    def absorb(self, vals: np.ndarray, derivs: np.ndarray) -> None:
+        """Take f and f' at the pending angles into the contour."""
+        if self.fvals is None:
+            if np.max(np.abs(vals)) < self.min_modulus:
+                raise NoReflectionError(
+                    f"|f| < {self.min_modulus:g} on the whole contour; winding undefined"
+                )
+            ld_ring = _logd(vals, derivs)
+            self.angles = np.append(self.angles, 2.0 * np.pi)
+            self.fvals = np.append(vals, vals[0])
+            self.logd = np.append(ld_ring, ld_ring[0])
+            self.depth = np.zeros(len(self.angles) - 1, dtype=np.int64)
+            self.min_abs = float(np.min(np.abs(self.fvals)))
+            return
+        self.min_abs = min(self.min_abs, float(np.min(np.abs(vals))))
+        at = self.split_at + 1
+        self.angles = np.insert(self.angles, at, self.pending)
+        self.fvals = np.insert(self.fvals, at, vals)
+        self.logd = np.insert(self.logd, at, _logd(vals, derivs))
+        self.depth = np.repeat(np.where(self.splitting, self.depth + 1, self.depth),
+                               np.where(self.splitting, 2, 1))
+
+    def bisect(self) -> bool:
+        """Queue the midpoints of the intervals to split; False once done."""
+        mods = np.abs(self.fvals)
+        end_mods = np.minimum(mods[:-1], mods[1:])
+        increments = np.angle(self.fvals[1:] / self.fvals[:-1])
+        chords = np.abs(self.fvals[1:] - self.fvals[:-1])
+        spans = 2.0 * np.sin(np.diff(self.angles) / 2.0)  # |dz| across the interval
+        motion = spans * np.maximum(self.logd[:-1], self.logd[1:])
+        bad = (
+            (np.abs(increments) > np.pi / 2.0)
+            | (end_mods < self.min_modulus)
+            | (chords > 0.5 * end_mods)
+            | (motion > 1.0)
+        )
+        splittable = bad & (self.depth < self.max_refine_depth)
+        if not splittable.any():
+            self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
+            return False
+        if len(self.angles) + int(splittable.sum()) > _MAX_CONTOUR_POINTS:
+            self.exhausted = True
+            return False
+        self.splitting = splittable
+        self.split_at = np.flatnonzero(splittable)
+        self.pending = (self.angles[self.split_at] + self.angles[self.split_at + 1]) / 2.0
+        return True
+
+    def result(self) -> WindingResult:
+        raw = float(np.sum(np.angle(self.fvals[1:] / self.fvals[:-1])) / (2.0 * np.pi))
+        winding = round(raw)
+        ambiguous = (
+            self.exhausted
+            or self.min_abs < self.min_modulus
+            or abs(raw - winding) > _RESIDUAL_GUARD
+        )
+        return WindingResult(
+            winding=int(winding),
+            raw_phase_sum=raw,
+            min_abs_f=self.min_abs,
+            refine_depth_used=int(self.depth.max()),
+            ambiguous=bool(ambiguous),
+        )
+
+
+def _refine(evaluate, contours: list[_Contour]) -> list[WindingResult | ComputationError]:
+    """Refine all contours together, one evaluate call per round.
+
+    Each round concatenates the pending points of every unfinished member
+    with an owner index and passes them to evaluate(z, owner), which
+    returns (f, df/dz, errors) with errors mapping failed members to their
+    ComputationError.  A member that fails, has no reflection or finishes
+    leaves the batch; the others go on.  Returns one WindingResult or
+    ComputationError per contour.
+    """
+    results: list = [None] * len(contours)
+    active = list(range(len(contours)))
+    while active:
+        sizes = [contours[m].pending.size for m in active]
+        owner = np.repeat(active, sizes)
+        z = np.exp(1j * np.concatenate([contours[m].pending for m in active]))
+        f, df, errors = evaluate(z, owner)
+        bounds = np.cumsum([0] + sizes)
+        still = []
+        for m, lo, hi in zip(active, bounds[:-1], bounds[1:]):
+            contour = contours[m]
+            error = errors.get(m)
+            if error is None:
+                try:
+                    contour.absorb(f[lo:hi], df[lo:hi])
+                except NoReflectionError as exc:
+                    error = exc
+            if error is not None:
+                results[m] = error
+            elif contour.bisect():
+                still.append(m)
+            else:
+                results[m] = contour.result()
+        active = still
+    return results
+
+
+def _single(results: list[WindingResult | ComputationError]) -> WindingResult:
+    (result,) = results
+    if isinstance(result, ComputationError):
+        raise result
+    return result
 
 
 def winding_of_function(
@@ -176,82 +398,29 @@ def winding_of_function(
     minimum modulus stays below min_modulus, or the unwrapped total is not
     close to an integer.
     """
-    if samples < 16:
-        raise ValueError(f"samples must be >= 16, got {samples}")
+    contour = _Contour(samples, min_modulus, max_refine_depth)
+    return _single(_refine(lambda z, owner: (*fn(z), {}), [contour]))
 
-    def _logd(fv, dfv):
-        mods = np.abs(fv)
-        with np.errstate(divide="ignore"):
-            return np.where(mods > 0.0, np.abs(dfv) / mods, np.inf)
 
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    ring = np.exp(1j * angles)
-    f_ring, df_ring = fn(ring)
-    if np.max(np.abs(f_ring)) < min_modulus:
-        raise NoReflectionError(
-            f"|f| < {min_modulus:g} on the whole contour; winding undefined"
-        )
-    ld_ring = _logd(f_ring, df_ring)
-    angles = np.append(angles, 2.0 * np.pi)
-    fvals = np.append(f_ring, f_ring[0])
-    logd = np.append(ld_ring, ld_ring[0])
-    depth = np.zeros(len(angles) - 1, dtype=np.int64)
-    min_abs = float(np.min(np.abs(fvals)))
-    exhausted = False
+def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
+    """Schur winding numbers of several chains, refined together.
 
-    while True:
-        mods = np.abs(fvals)
-        end_mods = np.minimum(mods[:-1], mods[1:])
-        increments = np.angle(fvals[1:] / fvals[:-1])
-        chords = np.abs(fvals[1:] - fvals[:-1])
-        spans = 2.0 * np.sin(np.diff(angles) / 2.0)  # |dz| across the interval
-        motion = spans * np.maximum(logd[:-1], logd[1:])
-        bad = (
-            (np.abs(increments) > np.pi / 2.0)
-            | (end_mods < min_modulus)
-            | (chords > 0.5 * end_mods)
-            | (motion > 1.0)
-        )
-        splittable = bad & (depth < max_refine_depth)
-        if not splittable.any():
-            exhausted = bool((bad & (depth >= max_refine_depth)).any())
-            break
-        if len(angles) + int(splittable.sum()) > _MAX_CONTOUR_POINTS:
-            exhausted = True
-            break
-        idx = np.flatnonzero(splittable)
-        mid_angles = (angles[idx] + angles[idx + 1]) / 2.0
-        mid_z = np.exp(1j * mid_angles)
-        mid_vals, mid_derivs = fn(mid_z)
-        min_abs = min(min_abs, float(np.min(np.abs(mid_vals))))
-        angles = np.insert(angles, idx + 1, mid_angles)
-        fvals = np.insert(fvals, idx + 1, mid_vals)
-        logd = np.insert(logd, idx + 1, _logd(mid_vals, mid_derivs))
-        depth = np.repeat(np.where(splittable, depth + 1, depth),
-                          np.where(splittable, 2, 1))
-
-    raw = float(np.sum(np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
-    winding = round(raw)
-    ambiguous = (
-        exhausted or min_abs < min_modulus or abs(raw - winding) > _RESIDUAL_GUARD
+    The members must share steps_per_site and the chain length; each keeps
+    its own contour settings.  Entry k is member k's WindingResult, or the
+    ComputationError that winding_number raises for it alone.
+    """
+    if len({(p.steps_per_site, p.active_gammas().size) for p in members}) != 1:
+        raise ValueError("a batch needs members of one steps_per_site and one chain length")
+    evaluate = _chain_evaluator(
+        [p.active_gammas() for p in members], members[0].steps_per_site
     )
-    return WindingResult(
-        winding=int(winding),
-        raw_phase_sum=raw,
-        min_abs_f=min_abs,
-        refine_depth_used=int(depth.max()),
-        ambiguous=bool(ambiguous),
-    )
+    contours = [_Contour(p.samples, p.min_modulus, p.max_refine_depth) for p in members]
+    return _refine(evaluate, contours)
 
 
 def winding_number(params: SchurParams) -> WindingResult:
     """Schur winding number by contour phase unwrapping."""
-    return winding_of_function(
-        partial(_eval_circle, params.active_gammas(), params.steps_per_site),
-        samples=params.samples,
-        min_modulus=params.min_modulus,
-        max_refine_depth=params.max_refine_depth,
-    )
+    return _single(winding_numbers([params]))
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Grid points sit at cell centers and cells are evaluated in row-major order
 with theta_b fastest.  Every cell is a pure function of its parameters, so
 results are bitwise identical whether cells run serially or on a process
 pool; per-cell computation failures become cell statuses instead of
-aborting the sweep.
+aborting the sweep.  A termination-averaged cell is one batched Schur
+evaluation (schur.winding_numbers): its members are refined together and
+share the recursion over their common suffix.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class PhaseDiagram:
 def _run_cells(cell_fn, cells, workers: int | None):
     if workers is None:
         workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers <= 1 or len(cells) < 2:
         return [cell_fn(cell) for cell in cells]
     chunk = max(1, len(cells) // (workers * 8))
@@ -120,16 +124,19 @@ def _winding_cell(cell, word, contour):
 
 
 def _winding_average_cell(cell, words, contour):
-    values = []
-    worst = STATUS_OK
-    for word in words:
-        value, status = _winding_cell(cell, word, contour)
-        if status == STATUS_OK:
-            values.append(value)
-        else:
-            worst = STATUS_AMBIGUOUS
+    coins = CoinAngles(*cell)
+    members = [
+        schur.SchurParams(gammas=reflection_amplitudes(angles_for(word, coins)), **contour)
+        for word in words
+    ]
+    values = [
+        float(result.winding)
+        for result in schur.winding_numbers(members)
+        if isinstance(result, schur.WindingResult) and not result.ambiguous
+    ]
     if not values:
         return float("nan"), STATUS_AMBIGUOUS
+    worst = STATUS_OK if len(values) == len(members) else STATUS_AMBIGUOUS
     return float(np.mean(values)), worst
 
 

@@ -219,6 +219,18 @@ def test_workers_do_not_change_bytes(tmp_path, capsys):
     assert one.read_bytes() == many.read_bytes()
 
 
+def test_workers_below_one_exit_one_without_output(tmp_path, capsys):
+    out_path = tmp_path / "w.csv"
+    code, out, err = run(
+        capsys, "winding-map", "--resolution", "2", "--n", "34",
+        "--workers", "0", "--output", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert "workers must be >= 1" in err
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
+
+
 def test_winding_average_csv_schema(tmp_path, capsys):
     out_path = tmp_path / "avg.csv"
     code, out, _ = run(

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from fibwalk.sequence import DEFAULT_ENSEMBLE, Phason, PrefixOverride, Standard
+from fibwalk.sequence import (
+    DEFAULT_ENSEMBLE,
+    Phason,
+    PrefixOverride,
+    Standard,
+    phason_ensemble,
+)
 from fibwalk.sweep import (
     GridSpec,
     STATUS_ERROR,
     STATUS_OK,
+    _run_cells,
     sweep_mcd,
     sweep_winding,
     sweep_winding_average,
@@ -138,6 +145,25 @@ def test_serial_and_parallel_runs_are_bitwise_identical():
     mcd_parallel = sweep_mcd(grid, n_sites=64, steps=20, workers=4)
     assert mcd_serial.values.tobytes() == mcd_parallel.values.tobytes()
 
+
+
+@pytest.mark.parametrize("ensemble", [DEFAULT_ENSEMBLE, phason_ensemble(3)],
+                         ids=["prefixes", "phason-grid-3"])
+def test_serial_and_parallel_averages_are_bitwise_identical(ensemble):
+    grid = GridSpec(**FLAGSHIP, resolution=3)
+    serial = sweep_winding_average(grid, ensemble, n_sites=89)
+    parallel = sweep_winding_average(grid, ensemble, n_sites=89, workers=4)
+    assert serial.values.tobytes() == parallel.values.tobytes()
+    assert serial.statuses == parallel.statuses
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected_before_any_cell(workers):
+    def no_cell(cell):
+        raise AssertionError("a cell ran despite an invalid worker count")
+
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        _run_cells(no_cell, [(0.0, 0.0), (1.0, 1.0)], workers)
 
 @pytest.mark.slow
 def test_winding_plateaus_are_quantized_on_a_coarse_grid():
