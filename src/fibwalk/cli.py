@@ -416,14 +416,16 @@ def _run_mcd(params: dict) -> tuple[str, dict]:
     return summary, {"mcd_avg": value}
 
 
+def _contour(params: dict) -> dict:
+    """The contour settings, as keywords of SchurParams and the winding sweeps."""
+    keys = ("steps_per_site", "samples", "min_modulus", "max_refine_depth")
+    return {key: params[key] for key in keys}
+
+
 def _schur_params(params: dict) -> schur.SchurParams:
     term = parse_termination(params["termination"])
     return schur.reflection_params(
-        params["theta_a"], params["theta_b"], params["n"], term,
-        steps_per_site=params["steps_per_site"],
-        samples=params["samples"],
-        min_modulus=params["min_modulus"],
-        max_refine_depth=params["max_refine_depth"],
+        params["theta_a"], params["theta_b"], params["n"], term, **_contour(params)
     )
 
 
@@ -504,11 +506,8 @@ def _run_winding_map(params: dict) -> tuple[str, dict]:
         _grid(params),
         termination=parse_termination(params["termination"]),
         n_sites=params["n"],
-        steps_per_site=params["steps_per_site"],
-        samples=params["samples"],
-        min_modulus=params["min_modulus"],
-        max_refine_depth=params["max_refine_depth"],
         workers=params["workers"],
+        **_contour(params),
     )
     return _finish_map(diagram, params)
 
@@ -516,10 +515,7 @@ def _run_winding_map(params: dict) -> tuple[str, dict]:
 def _parse_ensemble(text: str):
     if text.lower().startswith("phason-grid:"):
         return phason_ensemble(int(text.split(":", 1)[1]))
-    terms = tuple(parse_termination(part) for part in text.split(",") if part.strip())
-    if not terms:
-        raise _CliError("ensemble must name at least one termination")
-    return terms
+    return tuple(parse_termination(part) for part in text.split(",") if part.strip())
 
 
 def _run_winding_average(params: dict) -> tuple[str, dict]:
@@ -527,11 +523,8 @@ def _run_winding_average(params: dict) -> tuple[str, dict]:
         _grid(params),
         ensemble=_parse_ensemble(params["ensemble"]),
         n_sites=params["n"],
-        steps_per_site=params["steps_per_site"],
-        samples=params["samples"],
-        min_modulus=params["min_modulus"],
-        max_refine_depth=params["max_refine_depth"],
         workers=params["workers"],
+        **_contour(params),
     )
     return _finish_map(diagram, params)
 

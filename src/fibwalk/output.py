@@ -95,13 +95,8 @@ def winding_rows(result: WindingResult) -> tuple[list[str], list[list]]:
 
 def sweep_rows(diagram: PhaseDiagram) -> tuple[list[str], list[list]]:
     """One row per cell: theta_a, theta_b, value, status, kind, termination."""
-    prov = diagram.provenance
-    if "ensemble" in prov:
-        termination = "+".join(prov["ensemble"])
-    else:
-        termination = prov.get("termination", "")
     rows = [
-        [ta, tb, float(v), status, diagram.kind, termination]
+        [ta, tb, float(v), status, diagram.kind, diagram.termination]
         for (ta, tb), v, status in zip(
             diagram.grid.cells(), diagram.values, diagram.statuses
         )

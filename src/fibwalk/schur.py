@@ -69,7 +69,6 @@ class SchurParams:
     """Reflection amplitudes (boundary first) plus contour settings."""
 
     gammas: np.ndarray
-    cutoff: int | None = None
     steps_per_site: int = 2
     samples: int = DEFAULT_SAMPLES
     min_modulus: float = DEFAULT_MIN_MODULUS
@@ -82,8 +81,6 @@ class SchurParams:
         if np.max(np.abs(g)) > 1.0 + 1e-12:
             raise ValueError("reflection amplitudes must satisfy |gamma| <= 1")
         object.__setattr__(self, "gammas", np.clip(g, -1.0, 1.0))
-        if self.cutoff is not None and not 1 <= self.cutoff <= g.size:
-            raise ValueError(f"cutoff must be in [1, {g.size}], got {self.cutoff}")
         if self.steps_per_site not in (1, 2):
             raise ValueError(f"steps_per_site must be 1 or 2, got {self.steps_per_site}")
         if self.samples < 16:
@@ -92,9 +89,6 @@ class SchurParams:
             raise ValueError(f"min_modulus must be > 0, got {self.min_modulus}")
         if self.max_refine_depth < 0:
             raise ValueError(f"max_refine_depth must be >= 0, got {self.max_refine_depth}")
-
-    def active_gammas(self) -> np.ndarray:
-        return self.gammas if self.cutoff is None else self.gammas[: self.cutoff]
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ def schur_eval(params: SchurParams, z):
     zv = np.asarray(z, dtype=np.complex128)
     if np.max(np.abs(zv)) > 1.0 + 1e-12:
         raise ValueError("the Schur function is only evaluated on |z| <= 1")
-    out, _ = _eval_circle(params.active_gammas(), params.steps_per_site, np.atleast_1d(zv))
+    out, _ = _eval_circle(params.gammas, params.steps_per_site, np.atleast_1d(zv))
     return complex(out[0]) if zv.ndim == 0 else out.reshape(zv.shape)
 
 
@@ -409,10 +403,10 @@ def winding_numbers(members: list[SchurParams]) -> list[WindingResult | Computat
     its own contour settings.  Entry k is member k's WindingResult, or the
     ComputationError that winding_number raises for it alone.
     """
-    if len({(p.steps_per_site, p.active_gammas().size) for p in members}) != 1:
+    if len({(p.steps_per_site, p.gammas.size) for p in members}) != 1:
         raise ValueError("a batch needs members of one steps_per_site and one chain length")
     evaluate = _chain_evaluator(
-        [p.active_gammas() for p in members], members[0].steps_per_site
+        [p.gammas for p in members], members[0].steps_per_site
     )
     contours = [_Contour(p.samples, p.min_modulus, p.max_refine_depth) for p in members]
     return _refine(evaluate, contours)

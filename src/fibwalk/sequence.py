@@ -109,17 +109,6 @@ class CoinAngles:
         if not (math.isfinite(self.theta_a) and math.isfinite(self.theta_b)):
             raise ValueError("coin angles must be finite")
 
-    def canonical(self) -> "CoinAngles":
-        """Angles wrapped to the reporting range (-pi, pi]."""
-        return CoinAngles(_wrap_angle(self.theta_a), _wrap_angle(self.theta_b))
-
-
-def _wrap_angle(theta: float) -> float:
-    w = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
 
 @dataclass(frozen=True)
 class Standard:

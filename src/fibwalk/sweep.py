@@ -4,9 +4,15 @@ Grid points sit at cell centers and cells are evaluated in row-major order
 with theta_b fastest.  Every cell is a pure function of its parameters, so
 results are bitwise identical whether cells run serially or on a process
 pool; per-cell computation failures become cell statuses instead of
-aborting the sweep.  A termination-averaged cell is one batched Schur
-evaluation (schur.winding_numbers): its members are refined together and
-share the recursion over their common suffix.
+aborting the sweep.
+
+Both winding maps run one cell function: a cell is one batched Schur
+evaluation (schur.winding_numbers) of its members -- one termination for
+a winding map, the ensemble for an average -- which are refined together
+and share the recursion over their common suffix.  Each member becomes a
+(value, status) pair by one rule, and a reduction turns the pairs into
+the cell's pair: a winding map keeps its single member's, an average
+takes the mean of the resolved members.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,7 +49,6 @@ KIND_WINDING = "winding"
 KIND_WINDING_AVERAGE = "winding_average"
 
 DEFAULT_RESOLUTION = 101
-DISPLAY_CLAMP = -12.0  # presentation hint for MCD maps; raw values are stored
 
 
 @dataclass(frozen=True)
@@ -81,13 +87,13 @@ class GridSpec:
 
 @dataclass
 class PhaseDiagram:
-    """Per-cell values and statuses over a grid, plus a provenance snapshot."""
+    """Per-cell values and statuses over a grid."""
 
     grid: GridSpec
     kind: str
     values: np.ndarray
     statuses: list[str]
-    provenance: dict
+    termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
 def _run_cells(cell_fn, cells, workers: int | None):
@@ -102,6 +108,17 @@ def _run_cells(cell_fn, cells, workers: int | None):
         return list(pool.map(cell_fn, cells, chunksize=chunk))
 
 
+def _sweep(grid, kind, termination, cell_fn, workers) -> PhaseDiagram:
+    results = _run_cells(cell_fn, grid.cells(), workers)
+    return PhaseDiagram(
+        grid=grid,
+        kind=kind,
+        values=np.array([value for value, _ in results]),
+        statuses=[status for _, status in results],
+        termination=termination,
+    )
+
+
 def _mcd_cell(cell, word, steps, coin_policy, convention):
     theta_a, theta_b = cell
     config = WalkConfig(len(word), CoinAngles(theta_a, theta_b), word)
@@ -112,32 +129,30 @@ def _mcd_cell(cell, word, steps, coin_policy, convention):
     return avg.value, STATUS_OK
 
 
-def _winding_cell(cell, word, contour):
-    theta_a, theta_b = cell
-    gammas = reflection_amplitudes(angles_for(word, CoinAngles(theta_a, theta_b)))
-    try:
-        result = schur.winding_number(schur.SchurParams(gammas=gammas, **contour))
-    except ComputationError:
+def _member(result) -> tuple[float, str]:
+    """(value, status) of one member's WindingResult or ComputationError."""
+    if isinstance(result, ComputationError):
         return float("nan"), STATUS_ERROR
-    status = STATUS_AMBIGUOUS if result.ambiguous else STATUS_OK
-    return float(result.winding), status
+    return float(result.winding), STATUS_AMBIGUOUS if result.ambiguous else STATUS_OK
 
 
-def _winding_average_cell(cell, words, contour):
+def _mean(members: list[tuple[float, str]]) -> tuple[float, str]:
+    """Mean over the resolved members: ok when all resolved, error when all
+    failed, ambiguous otherwise."""
+    if all(status == STATUS_ERROR for _, status in members):
+        return float("nan"), STATUS_ERROR
+    values = [value for value, status in members if status == STATUS_OK]
+    status = STATUS_OK if len(values) == len(members) else STATUS_AMBIGUOUS
+    return (float(np.mean(values)) if values else float("nan")), status
+
+
+def _winding_cell(cell, words, reduce, **contour):
     coins = CoinAngles(*cell)
     members = [
         schur.SchurParams(gammas=reflection_amplitudes(angles_for(word, coins)), **contour)
         for word in words
     ]
-    values = [
-        float(result.winding)
-        for result in schur.winding_numbers(members)
-        if isinstance(result, schur.WindingResult) and not result.ambiguous
-    ]
-    if not values:
-        return float("nan"), STATUS_AMBIGUOUS
-    worst = STATUS_OK if len(values) == len(members) else STATUS_AMBIGUOUS
-    return float(np.mean(values)), worst
+    return reduce([_member(result) for result in schur.winding_numbers(members)])
 
 
 def _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth):
@@ -165,21 +180,7 @@ def sweep_mcd(
         _mcd_cell, word=word, steps=steps,
         coin_policy=coin_policy, convention=convention,
     )
-    results = _run_cells(cell_fn, grid.cells(), workers)
-    return PhaseDiagram(
-        grid=grid,
-        kind=KIND_MCD,
-        values=np.array([value for value, _ in results]),
-        statuses=[status for _, status in results],
-        provenance={
-            "n_sites": n_sites,
-            "steps": steps,
-            "coin_policy": str(coin_policy),
-            "convention": convention,
-            "termination": termination_label(termination),
-            "display_clamp": DISPLAY_CLAMP,
-        },
-    )
+    return _sweep(grid, KIND_MCD, termination_label(termination), cell_fn, workers)
 
 
 def sweep_winding(
@@ -195,19 +196,8 @@ def sweep_winding(
     """Schur winding number per grid cell for one surface termination."""
     word = word_for_termination(n_sites, termination)
     contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
-    cell_fn = partial(_winding_cell, word=word, contour=contour)
-    results = _run_cells(cell_fn, grid.cells(), workers)
-    return PhaseDiagram(
-        grid=grid,
-        kind=KIND_WINDING,
-        values=np.array([value for value, _ in results]),
-        statuses=[status for _, status in results],
-        provenance={
-            "n_sites": n_sites,
-            "termination": termination_label(termination),
-            **contour,
-        },
-    )
+    cell_fn = partial(_winding_cell, words=[word], reduce=itemgetter(0), **contour)
+    return _sweep(grid, KIND_WINDING, termination_label(termination), cell_fn, workers)
 
 
 def sweep_winding_average(
@@ -222,23 +212,14 @@ def sweep_winding_average(
 ) -> PhaseDiagram:
     """Mean winding number over a termination ensemble, per grid cell.
 
-    A cell is Ok only when every ensemble member resolved; otherwise it is
-    marked ambiguous and the mean runs over the members that did resolve.
+    A cell is ok only when every ensemble member resolved and error only
+    when every member failed; otherwise it is ambiguous and the mean runs
+    over the members that did resolve.
     """
     if not ensemble:
         raise ValueError("ensemble must contain at least one termination")
     words = [word_for_termination(n_sites, term) for term in ensemble]
     contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
-    cell_fn = partial(_winding_average_cell, words=words, contour=contour)
-    results = _run_cells(cell_fn, grid.cells(), workers)
-    return PhaseDiagram(
-        grid=grid,
-        kind=KIND_WINDING_AVERAGE,
-        values=np.array([value for value, _ in results]),
-        statuses=[status for _, status in results],
-        provenance={
-            "n_sites": n_sites,
-            "ensemble": [termination_label(t) for t in ensemble],
-            **contour,
-        },
-    )
+    cell_fn = partial(_winding_cell, words=words, reduce=_mean, **contour)
+    label = "+".join(termination_label(term) for term in ensemble)
+    return _sweep(grid, KIND_WINDING_AVERAGE, label, cell_fn, workers)

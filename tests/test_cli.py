@@ -246,6 +246,18 @@ def test_winding_average_csv_schema(tmp_path, capsys):
     assert all("ABA+AAB+BAA+BAB" in line for line in lines[1:])
 
 
+def test_empty_ensemble_exits_one_without_output(tmp_path, capsys):
+    out_path = tmp_path / "avg.csv"
+    code, out, err = run(
+        capsys, "winding-average", "--resolution", "2", "--n", "34",
+        "--ensemble", ",", "--output", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert "at least one termination" in err
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
+
+
 def test_winding_average_phason_grid_alternative(tmp_path, capsys):
     code, out, _ = run(
         capsys, "winding-average", "--resolution", "2", "--n", "34",

@@ -8,8 +8,10 @@ from fibwalk.sequence import (
     Standard,
     phason_ensemble,
 )
+from fibwalk.schur import SWEEP_SAMPLES, reflection_params, winding_number
 from fibwalk.sweep import (
     GridSpec,
+    STATUS_AMBIGUOUS,
     STATUS_ERROR,
     STATUS_OK,
     _run_cells,
@@ -49,7 +51,6 @@ def test_sweep_mcd_flagship_center_cell():
     assert diagram.statuses == [STATUS_OK] * 9
     center = diagram.values[4]
     assert -1.2 < center < -0.8
-    assert diagram.provenance["display_clamp"] == -12.0
 
 
 def test_sweep_mcd_identity_cell_is_exact():
@@ -89,6 +90,26 @@ def test_all_transparent_cell_reports_error_status():
     # cells evaluate the standard word; at (pi/2, pi/2) all gammas vanish
     assert all(s == STATUS_ERROR for s in diagram.statuses)
     assert np.all(np.isnan(diagram.values))
+
+
+def test_average_cell_whose_every_member_failed_reports_error_status():
+    # Every termination is transparent at (pi/2, pi/2): all members fail.
+    grid = GridSpec(np.pi / 2 - 1e-15, np.pi / 2 + 1e-15,
+                    np.pi / 2 - 1e-15, np.pi / 2 + 1e-15, resolution=2)
+    diagram = sweep_winding_average(grid, n_sites=34)
+    assert all(s == STATUS_ERROR for s in diagram.statuses)
+    assert np.all(np.isnan(diagram.values))
+
+
+def test_winding_map_cells_match_single_windings():
+    # This grid has ambiguous cells; they carry their winding, not NaN.
+    grid = GridSpec(resolution=5)
+    diagram = sweep_winding(grid, Standard(), n_sites=89)
+    assert diagram.statuses.count(STATUS_AMBIGUOUS) == 8
+    for (ta, tb), value, status in zip(grid.cells(), diagram.values, diagram.statuses):
+        result = winding_number(reflection_params(ta, tb, 89, samples=SWEEP_SAMPLES))
+        expected = STATUS_AMBIGUOUS if result.ambiguous else STATUS_OK
+        assert (value, status) == (result.winding, expected)
 
 
 def test_winding_average_flagship_value():
