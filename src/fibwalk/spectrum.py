@@ -1,9 +1,14 @@
 """Quasienergy spectra, gap geometry, edge-mode classification, gap labels.
 
-Eigenpairs of the walk unitary are obtained from its commuting Hermitian
-parts: (U + U^dagger)/2 has eigenvalues cos E, and the sign of E is
-resolved by re-diagonalizing (U - U^dagger)/(2i) inside numerically
-degenerate cos E clusters.  Quasienergies live on the circle (-pi, pi].
+Eigenpairs of the walk unitary U come from its commuting parts
+H = (U + U^dagger)/2, with eigenvalues cos E, and A = (U - U^dagger)/2,
+whose Hermitian partner -iA has eigenvalues -sin E.  One eigh of H gives
+the cos E values and a basis V; one product A V then holds every block
+needed to split a numerically degenerate cos E cluster by the sign of E:
+a cluster's small block is V_blk^dagger (A V)_blk.  The arithmetic runs in
+U's own dtype, so with real boundary phases (the default) U is real and
+only the small cluster rotations are complex.  Quasienergies live on the
+circle (-pi, pi].
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ CLUSTER_TOLERANCE = 1e-6
 # within ~4e-9 of each other on the circle, comfortably inside the
 # residual budget.
 SUBCLUSTER_TOLERANCE = 3e-9
+# a cluster whose cos E values all agree within this is flat in cos E to
+# rounding: re-resolving the cos part there would only mix its states by
+# noise, undoing the sin E resolution, so that pass is skipped.
+FLAT_COS_TOLERANCE = 1e-12
 
 DEFAULT_MIN_GAP_WIDTH = 0.02
 DEFAULT_WEIGHT_THRESHOLD = 0.6
@@ -93,9 +102,25 @@ def boundary_weights(states: np.ndarray, n_sites: int, m: int) -> np.ndarray:
     return left + right
 
 
-def _restricted_eigh(block: np.ndarray, operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    small = block.conj().T @ operator @ block
+def _hermitian_eigh(small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((small + small.conj().T) / 2.0)
+
+
+def _rotate(columns: np.ndarray, rotations) -> np.ndarray:
+    """Complex copy of columns with each cluster [lo, hi) turned by its rotation.
+
+    A real matrix meets the real and imaginary parts of each rotation in
+    two real products instead of being copied to complex first.
+    """
+    out = columns.astype(np.complex128)
+    for lo, hi, rot in rotations:
+        block = columns[:, lo:hi]
+        if np.iscomplexobj(block):
+            out[:, lo:hi] = block @ rot
+        else:
+            out.real[:, lo:hi] = block @ rot.real
+            out.imag[:, lo:hi] = block @ rot.imag
+    return out
 
 
 def _cluster_ranges(values: np.ndarray, tolerance: float):
@@ -114,29 +139,41 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
             f"dense solver limited to {MAX_DENSE_SITES} sites, got {config.n_sites}"
         )
     u = build_unitary(config)
-    herm = (u + u.conj().T) / 2.0
-    skew = (u - u.conj().T) / 2.0j
-    cos_e, vecs = np.linalg.eigh(herm)
+    if not u.imag.any():
+        u = np.ascontiguousarray(u.real)
+    cos_e, basis = np.linalg.eigh((u + u.conj().T) / 2.0)
+    anti_basis = ((u - u.conj().T) / 2.0) @ basis
 
     # Joint eigenbasis: inside each degenerate cos E cluster, resolve by the
-    # skew part (eigenvalues -sin E), then re-resolve the cos part inside
-    # sin-degenerate sub-blocks -- a degenerate sin spectrum would otherwise
-    # re-mix states whose cos values the first pass had already separated.
+    # skew part -iA (eigenvalues -sin E), then re-resolve the cos part, which
+    # is diag(cos E) in the cluster's columns of V, inside sin-degenerate
+    # sub-blocks -- a degenerate sin spectrum would otherwise re-mix states
+    # whose cos values the first pass had already separated.  A cluster
+    # whose sin values all agree within SUBCLUSTER_TOLERANCE keeps V's
+    # columns, which then hold its states to that tolerance: for real U the
+    # skew block is real antisymmetric, and its eigh would turn every such
+    # pair, say a left and a right zero mode, into (v1 +- i v2)/sqrt(2).
+    rotations = []
     for lo, hi in _cluster_ranges(cos_e, CLUSTER_TOLERANCE):
         if hi - lo < 2:
             continue
-        block = vecs[:, lo:hi]
-        sin_vals, rot = _restricted_eigh(block, skew)
-        block = block @ rot
-        for sub_lo, sub_hi in _cluster_ranges(sin_vals, SUBCLUSTER_TOLERANCE):
-            if sub_hi - sub_lo < 2:
-                continue
-            sub = block[:, sub_lo:sub_hi]
-            _, sub_rot = _restricted_eigh(sub, herm)
-            block[:, sub_lo:sub_hi] = sub @ sub_rot
-        vecs[:, lo:hi] = block
+        skew = -1j * (basis[:, lo:hi].conj().T @ anti_basis[:, lo:hi])
+        sin_vals, rot = _hermitian_eigh(skew)
+        if sin_vals[-1] - sin_vals[0] <= SUBCLUSTER_TOLERANCE:
+            continue
+        if cos_e[hi - 1] - cos_e[lo] > FLAT_COS_TOLERANCE:
+            for sub_lo, sub_hi in _cluster_ranges(sin_vals, SUBCLUSTER_TOLERANCE):
+                if sub_hi - sub_lo < 2:
+                    continue
+                sub = rot[:, sub_lo:sub_hi]
+                _, sub_rot = _hermitian_eigh(sub.conj().T @ (cos_e[lo:hi, None] * sub))
+                rot[:, sub_lo:sub_hi] = sub @ sub_rot
+        rotations.append((lo, hi, rot))
+    del anti_basis
 
-    uv = u @ vecs
+    vecs = _rotate(basis, rotations)
+    uv = _rotate(u @ basis, rotations)
+    del basis
     lam = np.sum(vecs.conj() * uv, axis=0)
     residuals = np.linalg.norm(uv - vecs * lam, axis=0)
     max_residual = float(residuals.max())

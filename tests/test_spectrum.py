@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from helpers import circle_multisets_close
 
+from fibwalk import spectrum
+from fibwalk.cli import main
+from fibwalk.errors import SolverConvergenceError
 from fibwalk.sequence import GOLDEN_RATIO_INV, CoinAngles, FibonacciWord, Override, standard_word
 from fibwalk.spectrum import (
     Gap,
@@ -10,7 +13,7 @@ from fibwalk.spectrum import (
     gap_labels,
     quasienergies,
 )
-from fibwalk.walk import WalkConfig
+from fibwalk.walk import Timeframe, WalkConfig, build_unitary
 
 
 def uniform_config(n, theta):
@@ -73,6 +76,53 @@ def test_eigenvector_completeness_and_orthogonality():
     assert len(spec.energies) == 178
     gram = spec.states.conj().T @ spec.states
     assert np.max(np.abs(gram - np.eye(178))) < 1e-6
+
+
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+@pytest.mark.parametrize("n", [34, 233])
+@pytest.mark.parametrize("theta_a, theta_b", [(np.pi / 2, 0.0), (1.1, 0.4)])
+def test_complex_boundary_phases(timeframe, n, theta_a, theta_b):
+    # Complex phases make U complex, so the solver runs in complex dtype.
+    cfg = WalkConfig(
+        n, CoinAngles(theta_a, theta_b), standard_word(n),
+        boundary_phase_left=np.exp(0.3j),
+        boundary_phase_right=np.exp(-1.1j),
+        timeframe=timeframe,
+    )
+    spec = quasienergies(cfg)
+    reference = -np.angle(np.linalg.eigvals(build_unitary(cfg)))
+    assert circle_multisets_close(spec.energies, reference, 1e-10)
+    assert spec.max_residual < 1e-8
+    gram = spec.states.conj().T @ spec.states
+    assert np.max(np.abs(gram - np.eye(2 * n))) < 1e-10
+
+
+def test_degenerate_zero_modes_stay_on_their_own_edges():
+    # A left and a right zero mode with the same quasienergy: any mixing of
+    # the pair is an eigenbasis, and the real skew block would mix them
+    # into two equal halves unless the solver keeps the real basis.
+    spec = quasienergies(WalkConfig(55, CoinAngles(1.0, 2.5), standard_word(55), 1.0, -1.0))
+    modes = classify_edge_modes(spec, find_gaps(spec, 0.02))
+    zero = [m for m in modes if m.pinning == "zero"]
+    assert sorted(m.side for m in zero) == ["left", "right"]
+    assert all(m.boundary_weight > 0.99 for m in zero)
+
+
+def test_residual_guard_raises_with_the_config(tmp_path, monkeypatch, capsys):
+    cfg = fib_config(34, 1.1, 0.4)
+    achieved = quasienergies(cfg).max_residual
+    assert achieved > 0.0
+    monkeypatch.setattr(spectrum, "RESIDUAL_TOLERANCE", achieved / 2.0)
+    with pytest.raises(SolverConvergenceError) as excinfo:
+        quasienergies(cfg)
+    assert excinfo.value.config is cfg
+
+    out_path = tmp_path / "s.csv"
+    code = main(["spectrum", "--theta-a", "1.1", "--theta-b", "0.4", "--n", "34",
+                 "--output", str(out_path)])
+    assert code == 2
+    assert "eigen-residual" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_theta_shift_by_pi_shifts_energies_by_pi():
