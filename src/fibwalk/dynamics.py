@@ -8,16 +8,25 @@ measured relative to the walker's starting site so that C(0) = 0.  The
 long-time average runs over t = 1..T with T < N/2, which keeps the
 light cone of a center-started walker away from the boundaries.  The
 default coin policy averages the runs started from |L> and |R>.
+
+mcd_series steps all runs of a coin policy together as one (runs, 2, N)
+stack, in real arithmetic when the boundary phases and the start spinors
+are real.  C(t) is taken per run on contiguous rows and the runs are added
+in run order, so every value is bitwise the one that stepping each run
+alone through apply_step and mcd_instant gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryContaminationError
-from .walk import WalkConfig, WalkerState, apply_step, localized_state
+from . import walk
+from .errors import BoundaryContaminationError, ComputationError
+# localized_state stays importable from here: bench/tracing.py wraps it by name.
+from .walk import WalkConfig, WalkerState, apply_step, localized_state  # noqa: F401
 
 BASIS_AVERAGE = "basis-average"
 
@@ -48,11 +57,15 @@ def evolve(config: WalkConfig, initial: WalkerState, steps: int) -> list[WalkerS
     return states
 
 
+def _displacement(x: np.ndarray, prob: np.ndarray) -> float:
+    """2 * sum_x x (|L_x|^2 - |R_x|^2) from the (2, N) coin probabilities."""
+    return float(2.0 * np.dot(x, prob[0] - prob[1]))
+
+
 def mcd_instant(state: WalkerState) -> float:
     """Chirality-weighted displacement of one state."""
     x = np.arange(state.n_sites) - state.origin
-    chirality = np.abs(state.amplitudes[:, 0]) ** 2 - np.abs(state.amplitudes[:, 1]) ** 2
-    return float(2.0 * np.dot(x, chirality))
+    return _displacement(x, np.abs(state.amplitudes.T) ** 2)
 
 
 def _coin_runs(coin_policy) -> tuple[list, str]:
@@ -70,18 +83,31 @@ def _coin_runs(coin_policy) -> tuple[list, str]:
 
 
 def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> McdSeries:
-    """MCD time series from the lattice center, averaged over the coin policy."""
+    """MCD time series from the lattice center, averaged over the coin policy.
+
+    Raises ComputationError when a run's norm drifts from 1 by more than
+    walk.NORM_TOLERANCE at any step.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     runs, label = _coin_runs(coin_policy)
-    center = config.n_sites // 2
+    n, center = config.n_sites, config.n_sites // 2
+    stack = walk.localized_stack(config, center, runs)
+    step = walk.stepper(config, stack.dtype)
+    x = np.arange(n, dtype=float) - center
     total = np.zeros(steps + 1)
-    for coin in runs:
-        state = localized_state(config.n_sites, center, coin)
-        total[0] += mcd_instant(state)
-        for t in range(1, steps + 1):
-            state = apply_step(state, config)
-            total[t] += mcd_instant(state)
+    for t in range(steps + 1):
+        if t:
+            stack = step(stack)
+        prob = np.abs(stack) ** 2
+        for r, run in enumerate(prob):
+            drift = abs(math.sqrt(run.sum()) - 1.0)
+            if not drift <= walk.NORM_TOLERANCE:
+                raise ComputationError(
+                    f"norm of run {r} (coin {runs[r]!r}) drifted by {drift:.3g} "
+                    f"at step {t}, beyond {walk.NORM_TOLERANCE:g}"
+                )
+            total[t] += _displacement(x, run)
     return McdSeries(total / len(runs), config, label)
 
 

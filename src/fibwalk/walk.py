@@ -79,7 +79,7 @@ class WalkerState:
         if not 0 <= self.origin < amps.shape[0]:
             raise ValueError(f"origin {self.origin} outside lattice of {amps.shape[0]} sites")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOLERANCE:
+        if not abs(nrm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
             raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_TOLERANCE}")
         self.amplitudes = amps
 
@@ -94,39 +94,83 @@ class WalkerState:
         return np.abs(self.amplitudes[:, 0]) ** 2 + np.abs(self.amplitudes[:, 1]) ** 2
 
 
-def localized_state(n_sites: int, site: int, coin="R") -> WalkerState:
-    """Walker concentrated on one site; coin is 'L', 'R', or an (a, b) pair."""
+def _spinor(coin) -> np.ndarray:
+    """Normalized (L, R) amplitudes of coin 'L', 'R', or an (a, b) pair."""
     if isinstance(coin, str):
         if coin not in ("L", "R"):
             raise ValueError(f"coin must be 'L', 'R', or a length-2 sequence, got {coin!r}")
-        spinor = np.array([1.0, 0.0] if coin == "L" else [0.0, 1.0], dtype=np.complex128)
-    else:
-        spinor = np.asarray(coin, dtype=np.complex128)
-        if spinor.shape != (2,):
-            raise ValueError("coin amplitudes must be a length-2 sequence")
-        nrm = np.linalg.norm(spinor)
-        if nrm == 0.0:
-            raise ValueError("coin amplitudes must not be zero")
-        spinor = spinor / nrm
+        return np.array([1.0, 0.0] if coin == "L" else [0.0, 1.0], dtype=np.complex128)
+    spinor = np.asarray(coin, dtype=np.complex128)
+    if spinor.shape != (2,):
+        raise ValueError("coin amplitudes must be a length-2 sequence")
+    nrm = np.linalg.norm(spinor)
+    if nrm == 0.0:
+        raise ValueError("coin amplitudes must not be zero")
+    return spinor / nrm
+
+
+def localized_state(n_sites: int, site: int, coin="R") -> WalkerState:
+    """Walker concentrated on one site; coin is 'L', 'R', or an (a, b) pair."""
     amps = np.zeros((n_sites, 2), dtype=np.complex128)
-    amps[site] = spinor
+    amps[site] = _spinor(coin)
     return WalkerState(amps, origin=site)
 
 
+def localized_stack(config: WalkConfig, site: int, coins) -> np.ndarray:
+    """Runs started on one site, one per coin, as a (runs, 2, n_sites) stack.
+
+    The stack is real when the boundary phases and every spinor are real,
+    so stepper keeps it real; otherwise it is complex.
+    """
+    stack = np.zeros((len(coins), 2, config.n_sites), dtype=np.complex128)
+    for r, coin in enumerate(coins):
+        stack[r, :, site] = _spinor(coin)
+    if _real_phases(config) and not stack.imag.any():
+        return stack.real.copy()
+    return stack
+
+
+# Step kernels act on stacks of shape (..., 2, n_sites): axis -2 is the coin
+# (L, R), so every run's L and R rows are contiguous.
+
 def _coin(amps: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.empty_like(amps)
-    out[:, 0] = c * amps[:, 0] + s * amps[:, 1]
-    out[:, 1] = -s * amps[:, 0] + c * amps[:, 1]
+    out[..., 0, :] = c * amps[..., 0, :] + s * amps[..., 1, :]
+    out[..., 1, :] = -s * amps[..., 0, :] + c * amps[..., 1, :]
     return out
 
 
-def _shift(amps: np.ndarray, alpha_l: complex, alpha_r: complex) -> np.ndarray:
+def _shift(amps: np.ndarray, alpha_l, alpha_r) -> np.ndarray:
     out = np.empty_like(amps)
-    out[:-1, 0] = amps[1:, 0]
-    out[-1, 0] = alpha_r * amps[-1, 1]
-    out[1:, 1] = amps[:-1, 1]
-    out[0, 1] = alpha_l * amps[0, 0]
+    out[..., 0, :-1] = amps[..., 0, 1:]
+    out[..., 0, -1] = alpha_r * amps[..., 1, -1]
+    out[..., 1, 1:] = amps[..., 1, :-1]
+    out[..., 1, 0] = alpha_l * amps[..., 0, 0]
     return out
+
+
+def _real_phases(config: WalkConfig) -> bool:
+    return np.imag(config.boundary_phase_left) == 0 and np.imag(config.boundary_phase_right) == 0
+
+
+def stepper(config: WalkConfig, dtype=np.complex128):
+    """One matrix-free walk step as a function of an amplitude stack.
+
+    The returned function maps an array of shape (..., 2, n_sites) and the
+    given dtype to the stack one step later.  The coin factors are computed
+    here, once, not at every step.  A real dtype needs real boundary phases.
+    """
+    th = config.angles()
+    al, ar = config.boundary_phase_left, config.boundary_phase_right
+    if np.dtype(dtype).kind != "c":
+        if not _real_phases(config):
+            raise ValueError("a real amplitude stack needs real boundary phases")
+        al, ar = al.real, ar.real
+    if config.timeframe is Timeframe.PLAIN:
+        c, s = np.cos(th), np.sin(th)
+        return lambda amps: _shift(_coin(amps, c, s), al, ar)
+    ch, sh = np.cos(th / 2.0), np.sin(th / 2.0)
+    return lambda amps: _coin(_shift(_coin(amps, ch, sh), al, ar), ch, sh)
 
 
 def apply_step(state: WalkerState, config: WalkConfig) -> WalkerState:
@@ -135,14 +179,7 @@ def apply_step(state: WalkerState, config: WalkConfig) -> WalkerState:
         raise ValueError(
             f"state has {state.n_sites} sites but config expects {config.n_sites}"
         )
-    th = config.angles()
-    al, ar = config.boundary_phase_left, config.boundary_phase_right
-    if config.timeframe is Timeframe.PLAIN:
-        amps = _shift(_coin(state.amplitudes, np.cos(th), np.sin(th)), al, ar)
-    else:
-        ch, sh = np.cos(th / 2.0), np.sin(th / 2.0)
-        amps = _coin(_shift(_coin(state.amplitudes, ch, sh), al, ar), ch, sh)
-    return WalkerState(amps, origin=state.origin)
+    return WalkerState(stepper(config)(state.amplitudes.T).T, origin=state.origin)
 
 
 def _coin_matrix(angles: np.ndarray) -> np.ndarray:

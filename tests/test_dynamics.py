@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fibwalk import walk
+from fibwalk.cli import main
 from fibwalk.dynamics import (
     evolve,
     mcd_instant,
@@ -8,9 +12,17 @@ from fibwalk.dynamics import (
     mcd_time_average,
     series_average,
 )
-from fibwalk.errors import BoundaryContaminationError
+from fibwalk.errors import BoundaryContaminationError, ComputationError
 from fibwalk.sequence import CoinAngles, FibonacciWord, Override, standard_word
-from fibwalk.walk import WalkConfig, WalkerState, build_unitary, localized_state
+from fibwalk.sweep import STATUS_ERROR, GridSpec, sweep_mcd
+from fibwalk.walk import (
+    Timeframe,
+    WalkConfig,
+    WalkerState,
+    apply_step,
+    build_unitary,
+    localized_state,
+)
 
 
 def uniform_config(n, theta):
@@ -146,3 +158,63 @@ def test_single_step_average_against_dense_oracle():
         expected += 2.0 * float(x @ chirality) / 2.0
     value = mcd_time_average(cfg, 1).value
     assert abs(value - expected) < 1e-12
+
+
+def reference_series(config, steps, coin_policy):
+    """C(t) stepping each start alone through WalkerState, one call per step."""
+    runs = ["L", "R"] if coin_policy == "basis-average" else [coin_policy]
+    center = config.n_sites // 2
+    total = np.zeros(steps + 1)
+    for coin in runs:
+        state = localized_state(config.n_sites, center, coin)
+        total[0] += mcd_instant(state)
+        for t in range(1, steps + 1):
+            state = apply_step(state, config)
+            total[t] += mcd_instant(state)
+    return total / len(runs)
+
+
+@pytest.mark.parametrize("n", [8, 64, 233])
+@pytest.mark.parametrize("coin_policy", ["L", "R", "basis-average", (1.0, 1.0j)])
+@pytest.mark.parametrize(
+    "phases", [(1.0, 1.0), (-1.0, 1.0), (np.exp(0.3j), np.exp(-1.1j))],
+    ids=["real", "mixed-sign", "complex"],
+)
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_stacked_series_is_bitwise_the_per_run_loop(timeframe, phases, coin_policy, n):
+    cfg = WalkConfig(n, CoinAngles(0.9, -2.3), standard_word(n), *phases, timeframe)
+    steps = n // 2 - 1
+    series = mcd_series(cfg, steps, coin_policy)
+    assert series.values.tobytes() == reference_series(cfg, steps, coin_policy).tobytes()
+
+
+def test_norm_drift_is_a_computation_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(walk, "NORM_TOLERANCE", -1.0)
+    with pytest.raises(ComputationError, match=r"run 0 .* drifted by 0 at step 0"):
+        mcd_series(fib_config(64, 1.0, 0.3), 10)
+
+    diagram = sweep_mcd(GridSpec(0.5, 1.0, 0.5, 1.0, resolution=2), 64, 10, workers=1)
+    assert diagram.statuses == [STATUS_ERROR] * 4
+    assert np.all(np.isnan(diagram.values))
+
+    out_path = tmp_path / "mcd.csv"
+    code = main([
+        "mcd", "--theta-a", "1.0", "--theta-b", "0.3", "--n", "64", "--steps", "10",
+        "--output", str(out_path),
+    ])
+    assert code == 2
+    assert "computation error" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
+
+
+def test_norm_guard_names_the_drifting_run_and_step(monkeypatch):
+    stepper = walk.stepper
+
+    def leaky_stepper(config, dtype):
+        step = stepper(config, dtype)
+        return lambda amps: step(amps) * np.array([1.0, 1.001])[:, None, None]
+
+    monkeypatch.setattr(walk, "stepper", leaky_stepper)
+    with pytest.raises(ComputationError, match=r"run 1 \(coin 'R'\) drifted by 0\.001 at step 1"):
+        mcd_series(fib_config(64, 1.0, 0.3), 10)

@@ -1,3 +1,6 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,14 +10,24 @@ from fibwalk.sequence import (
     PrefixOverride,
     Standard,
     phason_ensemble,
+    word_for_termination,
 )
-from fibwalk.schur import SWEEP_SAMPLES, reflection_params, winding_number
+from fibwalk.schur import (
+    DEFAULT_CUTOFF,
+    DEFAULT_MAX_REFINE_DEPTH,
+    DEFAULT_MIN_MODULUS,
+    SWEEP_SAMPLES,
+    reflection_params,
+    winding_number,
+)
 from fibwalk.sweep import (
     GridSpec,
     STATUS_AMBIGUOUS,
     STATUS_ERROR,
     STATUS_OK,
+    _contour_settings,
     _run_cells,
+    _winding_cell,
     sweep_mcd,
     sweep_winding,
     sweep_winding_average,
@@ -188,11 +201,17 @@ def test_workers_below_one_are_rejected_before_any_cell(workers):
 
 @pytest.mark.slow
 def test_winding_plateaus_are_quantized_on_a_coarse_grid():
+    # Each cell is one batched winding_numbers call over the four
+    # terminations; member k's (value, status) is what sweep_winding gives
+    # for termination k.
     grid = GridSpec(resolution=21)
-    for termination in DEFAULT_ENSEMBLE:
-        diagram = sweep_winding(grid, termination)
-        values = diagram.values.reshape(21, 21)
-        ok = np.array([s == STATUS_OK for s in diagram.statuses]).reshape(21, 21)
+    words = [word_for_termination(DEFAULT_CUTOFF, t) for t in DEFAULT_ENSEMBLE]
+    contour = _contour_settings(2, SWEEP_SAMPLES, DEFAULT_MIN_MODULUS, DEFAULT_MAX_REFINE_DEPTH)
+    cell_fn = partial(_winding_cell, words=words, reduce=list, **contour)
+    cells = _run_cells(cell_fn, grid.cells(), workers=min(4, os.cpu_count() or 1))
+    for k in range(len(DEFAULT_ENSEMBLE)):
+        values = np.array([members[k][0] for members in cells]).reshape(21, 21)
+        ok = np.array([members[k][1] == STATUS_OK for members in cells]).reshape(21, 21)
         for i in range(19):
             for j in range(19):
                 block = values[i:i + 3, j:j + 3]

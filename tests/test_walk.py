@@ -153,3 +153,8 @@ def test_chiral_operator_properties():
 def test_walker_state_norm_validation():
     with pytest.raises(ValueError):
         WalkerState(np.ones((4, 2), dtype=complex), origin=0)
+
+
+def test_walker_state_rejects_nan_amplitudes():
+    with pytest.raises(ValueError):
+        WalkerState(np.full((4, 2), np.nan, dtype=complex), origin=0)
