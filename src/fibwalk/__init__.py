@@ -7,10 +7,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     BASIS_AVERAGE,
-    McdAverage,
-    McdSeries,
-    evolve,
-    mcd_instant,
     mcd_series,
     mcd_time_average,
     series_average,
@@ -77,7 +73,6 @@ from .sweep import (
 from .walk import (
     Timeframe,
     WalkConfig,
-    WalkerState,
     apply_step,
     build_unitary,
     chiral_operator,

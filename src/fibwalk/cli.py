@@ -106,10 +106,11 @@ def _contour_params(samples_default):
           "1 is the literal single-power recursion (default: 2)"),
         P("samples", int, samples_default,
           f"initial contour resolution (default: {samples_default})"),
-        P("min_modulus", float, 1e-8,
-          "|f| floor below which the winding is treated as ill-defined (default: 1e-08)"),
-        P("max_refine_depth", int, 20,
-          "adaptive contour bisection depth limit (default: 20)"),
+        P("min_modulus", float, schur.DEFAULT_MIN_MODULUS,
+          "|f| floor below which the winding is treated as ill-defined "
+          f"(default: {schur.DEFAULT_MIN_MODULUS})"),
+        P("max_refine_depth", int, schur.DEFAULT_MAX_REFINE_DEPTH,
+          f"adaptive contour bisection depth limit (default: {schur.DEFAULT_MAX_REFINE_DEPTH})"),
     ]
 
 
@@ -178,21 +179,21 @@ _SUBCOMMANDS: dict[str, list[P]] = {
         *_angle_params(),
         P("n", int, 233, "recursion cutoff: sites entering the Schur function (default: 233)"),
         _termination_param(),
-        *_contour_params(2048),
+        *_contour_params(schur.DEFAULT_SAMPLES),
         *_common_params("schur_trace.csv", "csv"),
     ],
     "winding": [
         *_angle_params(),
         P("n", int, 233, "recursion cutoff (default: 233)"),
         _termination_param(),
-        *_contour_params(2048),
+        *_contour_params(schur.DEFAULT_SAMPLES),
         *_common_params("winding.json", "json"),
     ],
     "winding-map": [
         *_grid_params(),
         P("n", int, 233, "recursion cutoff (default: 233)"),
         _termination_param(),
-        *_contour_params(512),
+        *_contour_params(schur.SWEEP_SAMPLES),
         *_common_params("winding_map.csv", "csv"),
     ],
     "winding-average": [
@@ -201,7 +202,7 @@ _SUBCOMMANDS: dict[str, list[P]] = {
         P("ensemble", str, "ABA,AAB,BAA,BAB",
           "comma-separated terminations, or 'phason-grid:<k>' for a uniform phason grid "
           "(default: ABA,AAB,BAA,BAB)"),
-        *_contour_params(512),
+        *_contour_params(schur.SWEEP_SAMPLES),
         *_common_params("winding_average.csv", "csv"),
     ],
 }

@@ -1,60 +1,34 @@
-"""Wavepacket evolution and the mean chiral displacement (MCD).
+"""The mean chiral displacement (MCD) of walkers started at the lattice center.
 
-The instantaneous MCD of a state is
+The instantaneous MCD of a walker started on site x0 is
 
-    C = 2 * sum_x (x - origin) * (|L_x|^2 - |R_x|^2),
+    C = 2 * sum_x (x - x0) * (|L_x|^2 - |R_x|^2),
 
-measured relative to the walker's starting site so that C(0) = 0.  The
-long-time average runs over t = 1..T with T < N/2, which keeps the
-light cone of a center-started walker away from the boundaries.  The
-default coin policy averages the runs started from |L> and |R>.
+so that C(0) = 0.  The long-time average runs over t = 1..T with T < N/2,
+which keeps the light cone of a center-started walker away from the
+boundaries.  The default coin policy averages the runs started from |L>
+and |R>.
 
 mcd_series steps all runs of a coin policy together as one (runs, 2, N)
-stack, in real arithmetic when the boundary phases and the start spinors
+array, in real arithmetic when the boundary phases and the start spinors
 are real.  C(t) is taken per run on contiguous rows and the runs are added
 in run order, so every value is bitwise the one that stepping each run
-alone through apply_step and mcd_instant gives.
+alone, as a complex (2, N) array through apply_step, gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import walk
 from .errors import BoundaryContaminationError, ComputationError
-# localized_state stays importable from here: bench/tracing.py wraps it by name.
-from .walk import WalkConfig, WalkerState, apply_step, localized_state  # noqa: F401
+# apply_step and localized_state stay importable from here: bench/tracing.py
+# wraps both by name.
+from .walk import WalkConfig, apply_step, localized_state  # noqa: F401
 
 BASIS_AVERAGE = "basis-average"
-
-
-@dataclass
-class McdSeries:
-    """C(t) for t = 0..T from a walker started at the lattice center."""
-
-    values: np.ndarray
-    config: WalkConfig
-    initial_coin: str
-
-
-@dataclass(frozen=True)
-class McdAverage:
-    value: float
-    window: int
-    n_sites: int
-
-
-def evolve(config: WalkConfig, initial: WalkerState, steps: int) -> list[WalkerState]:
-    """States at t = 0..steps, matrix-free."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [initial]
-    for _ in range(steps):
-        states.append(apply_step(states[-1], config))
-    return states
 
 
 def _displacement(x: np.ndarray, prob: np.ndarray) -> float:
@@ -62,37 +36,29 @@ def _displacement(x: np.ndarray, prob: np.ndarray) -> float:
     return float(2.0 * np.dot(x, prob[0] - prob[1]))
 
 
-def mcd_instant(state: WalkerState) -> float:
-    """Chirality-weighted displacement of one state."""
-    x = np.arange(state.n_sites) - state.origin
-    return _displacement(x, np.abs(state.amplitudes.T) ** 2)
+def _coin_runs(coin_policy) -> list:
+    """Start coins of a policy: both basis coins, 'L', 'R', or one spinor."""
+    if isinstance(coin_policy, str) and coin_policy not in ("L", "R"):
+        if coin_policy != BASIS_AVERAGE:
+            raise ValueError(
+                f"coin_policy must be '{BASIS_AVERAGE}', 'L', 'R', or a length-2 "
+                f"amplitude pair, got {coin_policy!r}"
+            )
+        return ["L", "R"]
+    return [coin_policy]
 
 
-def _coin_runs(coin_policy) -> tuple[list, str]:
-    if isinstance(coin_policy, str):
-        if coin_policy == BASIS_AVERAGE:
-            return ["L", "R"], BASIS_AVERAGE
-        if coin_policy in ("L", "R"):
-            return [coin_policy], coin_policy
-        raise ValueError(
-            f"coin_policy must be '{BASIS_AVERAGE}', 'L', 'R', or a length-2 "
-            f"amplitude pair, got {coin_policy!r}"
-        )
-    spinor = np.asarray(coin_policy, dtype=np.complex128)
-    return [spinor], f"custom({spinor[0]!r},{spinor[1]!r})"
-
-
-def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> McdSeries:
-    """MCD time series from the lattice center, averaged over the coin policy.
+def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> np.ndarray:
+    """C(t) for t = 0..steps from the lattice center, averaged over the coin policy.
 
     Raises ComputationError when a run's norm drifts from 1 by more than
     walk.NORM_TOLERANCE at any step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    runs, label = _coin_runs(coin_policy)
+    runs = _coin_runs(coin_policy)
     n, center = config.n_sites, config.n_sites // 2
-    stack = walk.localized_stack(config, center, runs)
+    stack = walk.localized_state(config, center, runs)
     step = walk.stepper(config, stack.dtype)
     x = np.arange(n, dtype=float) - center
     total = np.zeros(steps + 1)
@@ -108,12 +74,12 @@ def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> Mcd
                     f"at step {t}, beyond {walk.NORM_TOLERANCE:g}"
                 )
             total[t] += _displacement(x, run)
-    return McdSeries(total / len(runs), config, label)
+    return total / len(runs)
 
 
-def series_average(series: McdSeries, convention: str = "mean") -> float:
+def series_average(series: np.ndarray, convention: str = "mean") -> float:
     """Average of C(t) over t = 1..T: plain mean, or mean of running means."""
-    tail = series.values[1:]
+    tail = series[1:]
     if convention == "mean":
         return float(np.mean(tail))
     if convention == "cesaro":
@@ -143,12 +109,7 @@ def mcd_time_average(
     steps: int,
     coin_policy=BASIS_AVERAGE,
     convention: str = "mean",
-) -> McdAverage:
+) -> float:
     """Long-time MCD average over t = 1..steps, a window check_mcd_window accepts."""
     check_mcd_window(config.n_sites, steps)
-    series = mcd_series(config, steps, coin_policy)
-    return McdAverage(
-        value=series_average(series, convention),
-        window=steps,
-        n_sites=config.n_sites,
-    )
+    return series_average(mcd_series(config, steps, coin_policy), convention)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import McdSeries
 from .schur import WindingResult
 from .spectrum import EdgeMode, QuasienergySpectrum
 from .sweep import PhaseDiagram
@@ -75,8 +74,8 @@ def spectrum_rows(
     return ["theta_a", "theta_b", "energy", "boundary_weight", "pinning"], rows
 
 
-def mcd_rows(series: McdSeries) -> tuple[list[str], list[list]]:
-    return ["t", "mcd"], [[t, float(c)] for t, c in enumerate(series.values)]
+def mcd_rows(series: np.ndarray) -> tuple[list[str], list[list]]:
+    return ["t", "mcd"], [[t, float(c)] for t, c in enumerate(series)]
 
 
 def trace_rows(phis: np.ndarray, values: np.ndarray) -> tuple[list[str], list[list]]:

@@ -47,9 +47,13 @@ DEFAULT_Q_MAX = 5
 DEFAULT_LABEL_TOLERANCE = 1e-3
 
 
-def default_edge_sites(n_sites: int) -> int:
-    """Number of sites per edge used for boundary weights: max(5, N/50)."""
-    return max(5, math.ceil(n_sites / 50))
+def _edge_sites(n_sites: int, edge_sites: int | None) -> int:
+    """Sites per edge for boundary weights: edge_sites, by default max(5, N/50)."""
+    if edge_sites is None:
+        return max(5, math.ceil(n_sites / 50))
+    if edge_sites < 1:
+        raise ValueError(f"edge_sites must be >= 1, got {edge_sites}")
+    return edge_sites
 
 
 @dataclass
@@ -89,8 +93,8 @@ class EdgeMode:
 
 
 def _boundary_masses(states: np.ndarray, n_sites: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    m = min(_edge_sites(n_sites, m), n_sites)
     prob = (np.abs(states) ** 2).reshape(n_sites, 2, states.shape[1]).sum(axis=1)
-    m = min(m, n_sites)
     left = prob[:m].sum(axis=0)
     right = prob[max(n_sites - m, m):].sum(axis=0)
     return left, right
@@ -138,6 +142,7 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
         raise ValueError(
             f"dense solver limited to {MAX_DENSE_SITES} sites, got {config.n_sites}"
         )
+    m = _edge_sites(config.n_sites, edge_sites)
     u = build_unitary(config)
     if not u.imag.any():
         u = np.ascontiguousarray(u.real)
@@ -189,7 +194,6 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     energies = energies[order]
     vecs = vecs[:, order]
 
-    m = default_edge_sites(config.n_sites) if edge_sites is None else edge_sites
     return QuasienergySpectrum(
         energies=energies,
         states=vecs,
@@ -243,8 +247,6 @@ def classify_edge_modes(
         raise ValueError(f"weight_threshold must be in (0, 1), got {weight_threshold}")
     n = spectrum.config.n_sites
     m = spectrum.edge_sites if edge_sites is None else edge_sites
-    if m < 1:
-        raise ValueError(f"edge_sites must be >= 1, got {m}")
     left, right = _boundary_masses(spectrum.states, n, m)
     weights = left + right
     e = spectrum.energies

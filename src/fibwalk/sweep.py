@@ -123,10 +123,10 @@ def _mcd_cell(cell, word, steps, coin_policy, convention):
     theta_a, theta_b = cell
     config = WalkConfig(len(word), CoinAngles(theta_a, theta_b), word)
     try:
-        avg = mcd_time_average(config, steps, coin_policy, convention)
+        value = mcd_time_average(config, steps, coin_policy, convention)
     except ComputationError:
         return float("nan"), STATUS_ERROR
-    return avg.value, STATUS_OK
+    return value, STATUS_OK
 
 
 def _member(result) -> tuple[float, str]:

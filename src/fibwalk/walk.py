@@ -1,8 +1,10 @@
 """Walk operators on a finite chain with reflective open boundaries.
 
 The Hilbert space is n_sites copies of a two-level coin (L, R); the dense
-basis ordering is (x=0,L), (x=0,R), (x=1,L), ...  One step is U = S C with
-a site-dependent rotation coin
+basis ordering is (x=0,L), (x=0,R), (x=1,L), ...  Matrix-free steps act on
+walkers held as amplitude arrays of shape (..., 2, n_sites), coin first, so
+a stack of runs steps as one array.  One step is U = S C with a
+site-dependent rotation coin
 
     R(theta) = [[cos theta, sin theta], [-sin theta, cos theta]]
 
@@ -65,35 +67,6 @@ class WalkConfig:
         return angles_for(self.word, self.coins)
 
 
-@dataclass
-class WalkerState:
-    """Coin-resolved amplitudes over sites; column 0 is L, column 1 is R."""
-
-    amplitudes: np.ndarray
-    origin: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 2 or amps.shape[1] != 2:
-            raise ValueError(f"amplitudes must have shape (n_sites, 2), got {amps.shape}")
-        if not 0 <= self.origin < amps.shape[0]:
-            raise ValueError(f"origin {self.origin} outside lattice of {amps.shape[0]} sites")
-        nrm = np.linalg.norm(amps)
-        if not abs(nrm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_TOLERANCE}")
-        self.amplitudes = amps
-
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def site_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes[:, 0]) ** 2 + np.abs(self.amplitudes[:, 1]) ** 2
-
-
 def _spinor(coin) -> np.ndarray:
     """Normalized (L, R) amplitudes of coin 'L', 'R', or an (a, b) pair."""
     if isinstance(coin, str):
@@ -109,18 +82,12 @@ def _spinor(coin) -> np.ndarray:
     return spinor / nrm
 
 
-def localized_state(n_sites: int, site: int, coin="R") -> WalkerState:
-    """Walker concentrated on one site; coin is 'L', 'R', or an (a, b) pair."""
-    amps = np.zeros((n_sites, 2), dtype=np.complex128)
-    amps[site] = _spinor(coin)
-    return WalkerState(amps, origin=site)
-
-
-def localized_stack(config: WalkConfig, site: int, coins) -> np.ndarray:
+def localized_state(config: WalkConfig, site: int, coins) -> np.ndarray:
     """Runs started on one site, one per coin, as a (runs, 2, n_sites) stack.
 
-    The stack is real when the boundary phases and every spinor are real,
-    so stepper keeps it real; otherwise it is complex.
+    Each coin is 'L', 'R', or an (a, b) pair, normalized here.  The stack is
+    real when the boundary phases and every spinor are real, so stepper
+    keeps it real; otherwise it is complex.
     """
     stack = np.zeros((len(coins), 2, config.n_sites), dtype=np.complex128)
     for r, coin in enumerate(coins):
@@ -173,13 +140,19 @@ def stepper(config: WalkConfig, dtype=np.complex128):
     return lambda amps: _coin(_shift(_coin(amps, ch, sh), al, ar), ch, sh)
 
 
-def apply_step(state: WalkerState, config: WalkConfig) -> WalkerState:
-    """One walk step, matrix-free (linear in n_sites)."""
-    if state.n_sites != config.n_sites:
+def apply_step(amps: np.ndarray, config: WalkConfig) -> np.ndarray:
+    """One walk step, matrix-free, of an amplitude array of shape (..., 2, n_sites).
+
+    A real array steps in real arithmetic when the boundary phases are
+    real; anything else steps in complex arithmetic.
+    """
+    amps = np.asarray(amps)
+    if amps.ndim < 2 or amps.shape[-2:] != (2, config.n_sites):
         raise ValueError(
-            f"state has {state.n_sites} sites but config expects {config.n_sites}"
+            f"amplitudes of shape {amps.shape} do not fit (..., 2, {config.n_sites})"
         )
-    return WalkerState(stepper(config)(state.amplitudes.T).T, origin=state.origin)
+    dtype = np.float64 if amps.dtype.kind != "c" and _real_phases(config) else np.complex128
+    return stepper(config, dtype)(amps.astype(dtype, copy=False))
 
 
 def _coin_matrix(angles: np.ndarray) -> np.ndarray:

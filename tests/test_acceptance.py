@@ -150,8 +150,8 @@ def test_criterion_5_winding_oracle_equivalence():
 def test_criterion_6_mcd_plateau():
     t0 = time.monotonic()
     cfg = fib_config(987, HALF_PI, 0.0)
-    short = mcd_time_average(cfg, 200).value
-    long = mcd_time_average(cfg, 400).value
+    short = mcd_time_average(cfg, 200)
+    long = mcd_time_average(cfg, 400)
     elapsed = time.monotonic() - t0
     ok = -1.2 <= long <= -0.8 and abs(long - short) < 0.1 and elapsed < 60.0
     report(
@@ -161,7 +161,7 @@ def test_criterion_6_mcd_plateau():
 
 
 def test_criterion_7_ballistic_analytic_check():
-    value = mcd_time_average(fib_config(64, 0.0, 0.0), 20).value
+    value = mcd_time_average(fib_config(64, 0.0, 0.0), 20)
     ok = abs(value - (-21.0)) <= 1e-12
     report(7, "ballistic analytic check", ok, f"(mcd_avg = {value!r})")
 

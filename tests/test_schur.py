@@ -18,7 +18,15 @@ from fibwalk.schur import (
     winding_of_function,
     winding_oracle,
 )
-from fibwalk.sequence import DEFAULT_ENSEMBLE, PrefixOverride, Standard, phason_ensemble
+from fibwalk.sequence import (
+    DEFAULT_ENSEMBLE,
+    CoinAngles,
+    PrefixOverride,
+    Standard,
+    phason_ensemble,
+    word_for_termination,
+)
+from fibwalk.walk import WalkConfig, apply_step, localized_state
 
 
 def circle(m):
@@ -285,3 +293,48 @@ def test_unambiguous_winding_does_not_depend_on_the_sample_count():
     )
     assert not coarse.ambiguous and not fine.ambiguous
     assert coarse.winding == fine.winding
+
+
+GAMMA_POINTS = [(1.0, 0.4), (1.2, 0.3), (2.5, -1.0)]
+GAMMA_TERMINATIONS = [Standard(), PrefixOverride("AAB")]
+
+
+def walk_schur_function(theta_a, theta_b, termination, z, n=233, steps=400):
+    """Boundary Schur function of the simulated walk at |R, 0>, from moments of U.
+
+    c_k = conj(<R,0| U^k |R,0>) gives the Caratheodory function
+    F(z) = 1 + 2 sum_k c_k z^k, and F = (1 + z f) / (1 - z f); at |z| = 0.9
+    the series is converged to rounding after 400 steps.
+    """
+    cfg = WalkConfig(n, CoinAngles(theta_a, theta_b), word_for_termination(n, termination))
+    amps = localized_state(cfg, 0, ["R"])[0].astype(np.complex128)
+    moments = np.empty(steps + 1, dtype=np.complex128)
+    for k in range(steps + 1):
+        moments[k] = np.conj(amps[1, 0])
+        amps = apply_step(amps, cfg)
+    big_f = 1.0 + 2.0 * z * np.polyval(moments[:0:-1], z)
+    return (big_f - 1.0) / ((big_f + 1.0) * z), cfg.angles()
+
+
+@pytest.mark.parametrize("termination", GAMMA_TERMINATIONS, ids=["standard", "AAB"])
+@pytest.mark.parametrize("theta_a,theta_b", GAMMA_POINTS)
+def test_walk_schur_function_has_sine_reflection_amplitudes(theta_a, theta_b, termination):
+    z = 0.9 * circle(8)
+    f, angles = walk_schur_function(theta_a, theta_b, termination, z)
+    assert np.max(np.abs(f - schur_eval(SchurParams(np.sin(angles)), z))) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: reflection_params uses gamma_n = cos(theta_n), but the "
+           "walk's own boundary Schur function has gamma_n = sin(theta_n); the two "
+           "differ by 0.64-1.81 on |z| = 0.9 at these points",
+)
+@pytest.mark.parametrize("termination", GAMMA_TERMINATIONS, ids=["standard", "AAB"])
+@pytest.mark.parametrize("theta_a,theta_b", GAMMA_POINTS)
+def test_reflection_params_match_the_walk_schur_function(theta_a, theta_b, termination):
+    z = 0.9 * circle(8)
+    f, _ = walk_schur_function(theta_a, theta_b, termination, z)
+    expected = schur_eval(reflection_params(theta_a, theta_b, 233, termination), z)
+    assert np.max(np.abs(f - expected)) < 1e-12

@@ -8,6 +8,7 @@ from fibwalk.errors import SolverConvergenceError
 from fibwalk.sequence import GOLDEN_RATIO_INV, CoinAngles, FibonacciWord, Override, standard_word
 from fibwalk.spectrum import (
     Gap,
+    boundary_weights,
     classify_edge_modes,
     find_gaps,
     gap_labels,
@@ -124,6 +125,30 @@ def test_residual_guard_raises_with_the_config(tmp_path, monkeypatch, capsys):
     assert "eigen-residual" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("edge_sites", [0, -3])
+def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, monkeypatch, capsys):
+    cfg = fib_config(34, 1.0, 0.4)
+    spec = quasienergies(cfg)
+    with pytest.raises(ValueError, match="edge_sites"):
+        boundary_weights(spec.states, 34, edge_sites)
+    with pytest.raises(ValueError, match="edge_sites"):
+        classify_edge_modes(spec, find_gaps(spec, 0.02), edge_sites=edge_sites)
+
+    def no_solve(config):
+        raise AssertionError("build_unitary reached")
+
+    monkeypatch.setattr(spectrum, "build_unitary", no_solve)
+    with pytest.raises(ValueError, match="edge_sites"):
+        quasienergies(cfg, edge_sites=edge_sites)
+
+    out_path = tmp_path / "s.csv"
+    code = main(["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34",
+                 "--edge-sites", str(edge_sites), "--output", str(out_path)])
+    assert code == 1
+    assert "edge_sites must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 def test_theta_shift_by_pi_shifts_energies_by_pi():
     rng = np.random.default_rng(41)

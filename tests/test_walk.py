@@ -6,7 +6,6 @@ from fibwalk.sequence import CoinAngles, FibonacciWord, Override, standard_word
 from fibwalk.walk import (
     Timeframe,
     WalkConfig,
-    WalkerState,
     apply_step,
     build_unitary,
     chiral_operator,
@@ -32,9 +31,9 @@ def random_config(rng, n=None, timeframe=Timeframe.PLAIN, phases=(1.0, 1.0)):
 
 
 def random_state(rng, n):
+    """Normalized complex amplitudes in the dense (n, 2) ordering."""
     amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    amps /= np.linalg.norm(amps)
-    return WalkerState(amps, origin=n // 2)
+    return amps / np.linalg.norm(amps)
 
 
 def test_identity_coin_walk_is_a_four_cycle():
@@ -87,16 +86,15 @@ def test_word_length_must_match():
 
 def test_step_ballistic_right_mover():
     cfg = WalkConfig(8, CoinAngles(0.0, 0.0), uniform_word(8))
-    state = localized_state(8, 3, "R")
-    out = apply_step(state, cfg)
-    assert np.allclose(out.amplitudes[4, 1], 1.0)
-    assert out.norm() == pytest.approx(1.0)
+    out = apply_step(localized_state(cfg, 3, ["R"]), cfg)
+    assert np.allclose(out[0, 1, 4], 1.0)
+    assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 def test_step_left_boundary_reflection():
     cfg = WalkConfig(8, CoinAngles(0.0, 0.0), uniform_word(8))
-    out = apply_step(localized_state(8, 0, "L"), cfg)
-    assert np.allclose(out.amplitudes[0, 1], 1.0)  # (0,L) -> (0,R)
+    out = apply_step(localized_state(cfg, 0, ["L"]), cfg)
+    assert np.allclose(out[0, 1, 0], 1.0)  # (0,L) -> (0,R)
 
 
 @pytest.mark.parametrize("timeframe", list(Timeframe))
@@ -105,15 +103,29 @@ def test_step_matches_dense_unitary(timeframe):
     for _ in range(10):
         cfg = random_config(rng, n=8, timeframe=timeframe)
         state = random_state(rng, 8)
-        dense = (build_unitary(cfg) @ state.amplitudes.reshape(-1)).reshape(8, 2)
-        free = apply_step(state, cfg).amplitudes
+        dense = (build_unitary(cfg) @ state.reshape(-1)).reshape(8, 2)
+        free = apply_step(state.T, cfg).T
         assert np.max(np.abs(dense - free)) < 1e-12
 
 
 def test_step_dimension_mismatch():
     cfg = WalkConfig(8, CoinAngles(0.0, 0.0), uniform_word(8))
-    with pytest.raises(ValueError):
-        apply_step(localized_state(9, 0, "R"), cfg)
+    for shape in ((2, 9), (1, 2, 9), (8, 2), (16,)):
+        with pytest.raises(ValueError):
+            apply_step(np.zeros(shape), cfg)
+
+
+def test_step_dtype_follows_amplitudes_and_phases():
+    rng = np.random.default_rng(31)
+    real = rng.normal(size=(3, 2, 8))
+    cfg = random_config(rng, n=8, phases=(-1.0, 1.0))
+    out = apply_step(real, cfg)
+    assert out.dtype == np.float64
+    # a stack steps as its rows do, and real arithmetic matches complex
+    for row, amps in zip(out, real):
+        assert np.array_equal(apply_step(amps.astype(complex), cfg), row)
+    twisted = random_config(rng, n=8, phases=(np.exp(0.4j), 1.0))
+    assert apply_step(real, twisted).dtype == np.complex128
 
 
 def test_timeframe_spectra_agree():
@@ -149,12 +161,3 @@ def test_chiral_operator_properties():
     swapped = (g5 @ state).reshape(5, 2)
     assert np.allclose(swapped, state.reshape(5, 2)[:, ::-1])
 
-
-def test_walker_state_norm_validation():
-    with pytest.raises(ValueError):
-        WalkerState(np.ones((4, 2), dtype=complex), origin=0)
-
-
-def test_walker_state_rejects_nan_amplitudes():
-    with pytest.raises(ValueError):
-        WalkerState(np.full((4, 2), np.nan, dtype=complex), origin=0)
