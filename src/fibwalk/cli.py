@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -213,7 +213,7 @@ _RESULT_KEYS: dict[str, tuple[str, ...]] = {
     "mcd": ("mcd_avg",),
     "mcd-map": ("n_ok", "n_ambiguous", "n_error"),
     "schur-trace": ("f_plus_one_re", "f_plus_one_im", "f_minus_one_re", "f_minus_one_im"),
-    "winding": ("winding", "raw_phase_sum", "min_abs_f", "refine_depth_used", "ambiguous"),
+    "winding": output.WINDING_COLUMNS,
     "winding-map": ("n_ok", "n_ambiguous", "n_error"),
     "winding-average": ("n_ok", "n_ambiguous", "n_error"),
 }
@@ -457,14 +457,7 @@ def _run_winding(params: dict) -> tuple[str, dict]:
         f"W={result.winding} raw={output.fmt(result.raw_phase_sum)} "
         f"ambiguous={str(result.ambiguous).lower()} -> {params['output']}"
     )
-    results = {
-        "winding": result.winding,
-        "raw_phase_sum": result.raw_phase_sum,
-        "min_abs_f": result.min_abs_f,
-        "refine_depth_used": result.refine_depth_used,
-        "ambiguous": result.ambiguous,
-    }
-    return summary, results
+    return summary, asdict(result)
 
 
 def _grid(params: dict) -> sweep.GridSpec:

@@ -8,6 +8,7 @@ depend on.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -86,10 +87,12 @@ def trace_rows(phis: np.ndarray, values: np.ndarray) -> tuple[list[str], list[li
     return ["phi", "re_f", "im_f", "abs_f"], rows
 
 
+WINDING_COLUMNS = tuple(f.name for f in dataclasses.fields(WindingResult))
+
+
 def winding_rows(result: WindingResult) -> tuple[list[str], list[list]]:
-    header = ["winding", "raw_phase_sum", "min_abs_f", "refine_depth_used", "ambiguous"]
-    return header, [[result.winding, result.raw_phase_sum, result.min_abs_f,
-                     result.refine_depth_used, result.ambiguous]]
+    """One row of the WindingResult fields, in field order."""
+    return list(WINDING_COLUMNS), [list(dataclasses.astuple(result))]
 
 
 def sweep_rows(diagram: PhaseDiagram) -> tuple[list[str], list[list]]:

@@ -13,9 +13,11 @@ structure of the walk (see README), while s = 1 is the literal single-power
 recursion.
 
 A reflector with |gamma_n| = 1 maps the whole disk to the single point
-gamma_n, so the recursion is short-circuited there: this is the masking
-effect, and it also removes the 0/0 ambiguity the raw formula would hit at
-isolated contour points.
+gamma_n, so each chain is cut at its first reflector: the sites behind it
+never enter the recursion, which starts from f = 0 there and reaches
+exactly gamma_n at the reflector.  This is the masking effect, and the cut
+also removes the 0/0 ambiguity the raw formula would hit at isolated
+contour points.
 
 One backward pass carries the derivative along with the value and returns
 the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
@@ -24,9 +26,10 @@ the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 Chains of one length are refined as one batch (winding_numbers; a single
 chain or function is a batch of one).  Each round concatenates the new
 contour points of every unfinished member, tagged with an owner index, and
-runs one backward pass over them.  The trailing sites where every member
-has the same gamma -- letters[3:] for the four prefix terminations, the
-whole chain on theta_a = +-theta_b -- form a shared suffix whose steps run
+runs one backward pass over them.  Cut at their first reflectors, the
+members form one table; its trailing sites where every member has the
+same gamma -- letters[3:] for the four prefix terminations, the whole
+chain on theta_a = +-theta_b -- form a shared suffix whose steps run
 once per distinct point; only the members' own prefix steps run per
 (member, point).  Every point goes through the same floating-point
 operations as in a single-member call, and a pole, a missing reflection or
@@ -78,14 +81,14 @@ class SchurParams:
         g = np.asarray(self.gammas, dtype=np.float64)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("gammas must be a non-empty 1-d real sequence")
-        if np.max(np.abs(g)) > 1.0 + 1e-12:
+        if not np.max(np.abs(g)) <= 1.0 + 1e-12:
             raise ValueError("reflection amplitudes must satisfy |gamma| <= 1")
         object.__setattr__(self, "gammas", np.clip(g, -1.0, 1.0))
         if self.steps_per_site not in (1, 2):
             raise ValueError(f"steps_per_site must be 1 or 2, got {self.steps_per_site}")
         if self.samples < 16:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
-        if self.min_modulus <= 0.0:
+        if not self.min_modulus > 0.0:
             raise ValueError(f"min_modulus must be > 0, got {self.min_modulus}")
         if self.max_refine_depth < 0:
             raise ValueError(f"max_refine_depth must be >= 0, got {self.max_refine_depth}")
@@ -113,17 +116,11 @@ def reflection_params(
     return SchurParams(gammas=reflection_amplitudes(angles), **contour)
 
 
-def _reflector_start(gammas: np.ndarray) -> int:
-    """Index of the first site with |gamma| = 1, or the chain length if none."""
-    reflectors = np.flatnonzero(np.abs(gammas) >= 1.0)
-    return int(reflectors[0]) if reflectors.size else gammas.size
-
-
-def _mobius(rows, starts, owner, s, z, f, fp):
+def _mobius(rows, owner, s, z, f, fp):
     """Backward Möbius steps at the points z, carrying the derivative along.
 
-    Point k follows row owner[k] of rows from column starts[owner[k]] - 1
-    down to column 0, starting from the values f[k] and fp[k].  Returns
+    Point k follows row owner[k] of rows from its last column down to
+    column 0, starting from the values f[k] and fp[k].  Returns
     (f, fp, pole) where pole[k] is the highest column whose denominator
     fell below the floor at point k (-1 if none); such a point is NaN from
     that step on, so only the member it belongs to is affected.
@@ -131,69 +128,55 @@ def _mobius(rows, starts, owner, s, z, f, fp):
     # d/dz of the Möbius step is (wf)' (1 - gamma^2) / den^2 with w = z^s.
     w = z**s
     dw = s * z ** (s - 1)
-    first = starts[owner]
-    top = int(first.max(initial=0))
-    staggered = bool((first < top).any())
-    live = True
     pole = np.full(z.shape, -1)
     with np.errstate(invalid="ignore"):  # dividing by a NaN den
-        for n in range(top - 1, -1, -1):
+        for n in range(rows.shape[1] - 1, -1, -1):
             g = rows[0, n] if len(rows) == 1 else rows[owner, n]
             wf = w * f
             dwf = dw * f + w * fp
             den = 1.0 + g * wf
             tiny = np.abs(den) < _DENOMINATOR_FLOOR
-            if staggered:
-                live = first > n
             if tiny.any():
-                pole[tiny & live] = n
+                pole[tiny] = n
                 den[tiny] = np.nan
-            step_f = (g + wf) / den
-            step_fp = dwf * (1.0 - g * g) / (den * den)
-            if staggered:
-                f, fp = np.where(live, step_f, f), np.where(live, step_fp, fp)
-            else:
-                f, fp = step_f, step_fp
+            f = (g + wf) / den
+            fp = dwf * (1.0 - g * g) / (den * den)
     return f, fp, pole
 
 
 def _chain_evaluator(chains: list[np.ndarray], s: int):
     """evaluate(z, owner) -> (f_0, f_0', errors) for chains of one length.
 
-    Point k of z belongs to chain owner[k].  Each chain starts at its first
-    reflector.  The trailing sites where every chain has the same gamma
-    form the shared suffix: its steps run once per distinct point, for the
-    chains that start inside it; each chain's own prefix steps then run
-    per (chain, point).  errors maps each chain whose denominator vanished
-    at one of its points to a PoleOnContourError.
+    Point k of z belongs to chain owner[k].  Each chain is cut at its first
+    reflector: the gammas behind it are set to 0 and the trailing sites
+    that are 0 in every chain are dropped, so every point starts from f = 0
+    at the end of one table.  Behind f = 0 a reflector step returns exactly
+    gamma (and f' = 0), so the cut chain has the value of the full one.
+    The trailing sites where every chain has the same gamma form the shared
+    suffix: its steps run once per distinct point; each chain's own prefix
+    steps then run per (chain, point).  errors maps each chain whose
+    denominator vanished at one of its points to a PoleOnContourError.
     """
-    table = np.pad(np.stack(chains), ((0, 0), (0, 1)))  # f = 0 past the last site
-    starts = np.array([_reflector_start(c) for c in chains])
+    table = np.stack(chains)
+    reflectors = np.abs(table) >= 1.0
+    behind = np.cumsum(reflectors, axis=1) > reflectors  # past the first reflector
+    table[behind] = 0.0
+    kept = np.flatnonzero(table.any(axis=0))
+    table = table[:, : int(kept[-1]) + 1 if kept.size else 0]
     differs = np.flatnonzero((table != table[0]).any(axis=0))
     split = int(differs[-1]) + 1 if differs.size else 0
-    # Chains that reach the suffix all start at its first reflector.
-    top = int(starts.max())
-    suffix_start = np.array([top - split])
-    heads = np.minimum(starts, split)
 
     def evaluate(z, owner):
-        f = table[owner, starts[owner]].astype(np.complex128)
-        fp = np.zeros(z.shape, dtype=np.complex128)
-        pole = np.full(z.shape, -1)
-        shared = starts[owner] >= split
-        if shared.any():
-            points, back = z[shared], slice(None)
-            if len(table) > 1:  # members reach the same contour points
-                points, back = np.unique(points, return_inverse=True)
-            sf, sfp, spole = _mobius(
-                table[:1, split:], suffix_start, np.zeros(points.size, dtype=np.intp),
-                s, points, np.full(points.shape, table[0, top], dtype=np.complex128),
-                np.zeros(points.shape, dtype=np.complex128),
-            )
-            f[shared], fp[shared] = sf[back], sfp[back]
-            pole[shared] = np.where(spole[back] >= 0, spole[back] + split, -1)
+        points, back = z, slice(None)
+        if len(table) > 1 and split < table.shape[1]:  # members share the suffix points
+            points, back = np.unique(z, return_inverse=True)
+        zeros = np.zeros(points.shape, dtype=np.complex128)
+        f, fp, pole = _mobius(
+            table[:1, split:], np.zeros(points.size, dtype=np.intp), s, points, zeros, zeros
+        )
+        f, fp, pole = f[back], fp[back], np.where(pole[back] >= 0, pole[back] + split, -1)
         if split:
-            f, fp, head_pole = _mobius(table[:, :split], heads, owner, s, z, f, fp)
+            f, fp, head_pole = _mobius(table[:, :split], owner, s, z, f, fp)
             pole = np.maximum(pole, head_pole)
         errors = {}
         failed = pole >= 0
@@ -222,7 +205,7 @@ def _eval_circle(
 def schur_eval(params: SchurParams, z):
     """f_0 at one point or an array of points with |z| <= 1."""
     zv = np.asarray(z, dtype=np.complex128)
-    if np.max(np.abs(zv)) > 1.0 + 1e-12:
+    if not np.max(np.abs(zv)) <= 1.0 + 1e-12:
         raise ValueError("the Schur function is only evaluated on |z| <= 1")
     out, _ = _eval_circle(params.gammas, params.steps_per_site, np.atleast_1d(zv))
     return complex(out[0]) if zv.ndim == 0 else out.reshape(zv.shape)

@@ -182,7 +182,7 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     lam = np.sum(vecs.conj() * uv, axis=0)
     residuals = np.linalg.norm(uv - vecs * lam, axis=0)
     max_residual = float(residuals.max())
-    if max_residual > RESIDUAL_TOLERANCE:
+    if not max_residual <= RESIDUAL_TOLERANCE:
         raise SolverConvergenceError(
             f"eigen-residual {max_residual:.3e} exceeds {RESIDUAL_TOLERANCE:.1e}",
             config=config,
@@ -211,7 +211,7 @@ def _circle_midpoint(lower: float, upper: float) -> float:
 
 def find_gaps(spectrum: QuasienergySpectrum, min_width: float) -> list[Gap]:
     """Maximal empty arcs wider than min_width, sorted by circle midpoint."""
-    if min_width <= 0.0:
+    if not min_width > 0.0:
         raise ValueError(f"min_width must be > 0, got {min_width}")
     e = spectrum.energies
     k = len(e)
@@ -255,22 +255,12 @@ def classify_edge_modes(
     found: dict[int, None] = {}
     for gap in gaps:
         j_lo = int(np.searchsorted(e, gap.lower, side="right")) - 1
-        idx = j_lo
-        for _ in range(k):  # full-circle guard
-            if idx < 0:
-                idx += k
-            if weights[idx] < weight_threshold:
-                break
-            found.setdefault(idx)
-            idx -= 1
-        idx = (j_lo + 1) % k
-        for _ in range(k):
-            if idx >= k:
-                idx -= k
-            if weights[idx] < weight_threshold:
-                break
-            found.setdefault(idx)
-            idx += 1
+        for start, step in ((j_lo, -1), (j_lo + 1, 1)):  # outward from the gap
+            for i in range(k):  # full-circle guard
+                idx = (start + step * i) % k
+                if weights[idx] < weight_threshold:
+                    break
+                found.setdefault(idx)
 
     modes = []
     for idx in sorted(found, key=lambda i: e[i]):

@@ -60,7 +60,7 @@ class WalkConfig:
             ("boundary_phase_left", self.boundary_phase_left),
             ("boundary_phase_right", self.boundary_phase_right),
         ):
-            if abs(abs(complex(phase)) - 1.0) > PHASE_TOLERANCE:
+            if not abs(abs(complex(phase)) - 1.0) <= PHASE_TOLERANCE:
                 raise ValueError(f"{name} must have unit modulus, got {phase!r}")
 
     def angles(self) -> np.ndarray:

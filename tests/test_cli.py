@@ -109,6 +109,28 @@ def test_pole_on_contour_is_a_computation_error(tmp_path, capsys):
     assert "denominator vanished" in err
 
 
+NAN_CASES = {
+    "phase-left-nan": ["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34",
+                       "--phase-left", "nan"],
+    "phase-right-inf": ["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34",
+                        "--phase-right", "inf"],
+    "min-gap-width-nan": ["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34",
+                          "--min-gap-width", "nan"],
+    # the transparent cell: the default min_modulus exits 2 here
+    "min-modulus-nan": ["winding", "--theta-a", "1.5707963267948966", "--theta-b",
+                        "1.5707963267948966", "--n", "34", "--min-modulus", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_CASES))
+def test_nan_parameters_exit_one_without_output(case, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *NAN_CASES[case], "--output", str(out_path))
+    assert code == 1 and out == ""
+    assert "must" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_flag_exits_one(capsys):
     code, _, err = run(capsys, "winding", "--no-such-flag", "1")
     assert code == 1
@@ -183,31 +205,30 @@ def test_missing_config_file(capsys):
     assert "not found" in err
 
 
-def test_sidecar_round_trip_reproduces_output(tmp_path, capsys):
-    first = tmp_path / "map1.csv"
-    code, _, _ = run(
-        capsys, "winding-map", "--resolution", "3",
-        "--theta-a-min", "1.2", "--theta-a-max", "1.9",
-        "--theta-b-min", "-0.4", "--theta-b-max", "0.4",
-        "--n", "89", "--output", str(first),
-    )
-    assert code == 0
-    second = tmp_path / "map2.csv"
-    code, _, _ = run(capsys, "winding-map", "--config",
-                     str(first) + ".meta.json", "--output", str(second))
-    assert code == 0
-    assert first.read_bytes() == second.read_bytes()
+ROUND_TRIP_ARGS = {
+    "word": ["--order", "6", "--termination", "AAB"],
+    "spectrum": ["--theta-a", "1.1", "--theta-b", "0.4", "--n", "34", "--phase-left", "0.3"],
+    "mcd": ["--degrees", "--theta-a", "90", "--theta-b", "0", "--n", "89", "--steps", "20"],
+    "mcd-map": ["--resolution", "2", "--n", "34", "--steps", "8", "--workers", "1"],
+    "schur-trace": ["--theta-a", "1.0", "--theta-b", "0.4", "--n", "34", "--samples", "64"],
+    "winding": ["--theta-a", "1.3", "--theta-b", "0.2", "--n", "55"],
+    "winding-map": ["--resolution", "3", "--theta-a-min", "1.2", "--theta-a-max", "1.9",
+                    "--theta-b-min", "-0.4", "--theta-b-max", "0.4", "--n", "89"],
+    "winding-average": ["--resolution", "2", "--n", "34", "--workers", "1"],
+}
 
 
-def test_sidecar_round_trip_scalar_command(tmp_path, capsys):
-    first = tmp_path / "w1.json"
-    run(capsys, "winding", "--theta-a", "1.3", "--theta-b", "0.2",
-        "--n", "55", "--output", str(first))
-    second = tmp_path / "w2.json"
-    code, _, _ = run(capsys, "winding", "--config", str(first) + ".meta.json",
+@pytest.mark.parametrize("command", list(ROUND_TRIP_ARGS))
+def test_sidecar_round_trip_reproduces_output(command, tmp_path, capsys):
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    code, _, _ = run(capsys, command, *ROUND_TRIP_ARGS[command], "--output", str(first))
+    assert code == 0
+    code, _, _ = run(capsys, command, "--config", str(first) + ".meta.json",
                      "--output", str(second))
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
+    sidecars = [json.loads(Path(str(p) + ".meta.json").read_text()) for p in (first, second)]
+    assert sidecars[0] == {**sidecars[1], "output": str(first)}
 
 
 def test_workers_do_not_change_bytes(tmp_path, capsys):

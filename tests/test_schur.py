@@ -221,6 +221,12 @@ def test_param_validation():
         SchurParams(gammas=np.array([0.5]), steps_per_site=3)
     with pytest.raises(ValueError):
         SchurParams(gammas=np.array([0.5]), min_modulus=0.0)
+    with pytest.raises(ValueError, match="min_modulus"):
+        SchurParams(gammas=np.zeros(8), min_modulus=np.nan)
+    with pytest.raises(ValueError, match="reflection amplitudes"):
+        SchurParams(gammas=np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="only evaluated on"):
+        schur_eval(SchurParams(gammas=np.array([0.5])), complex("nan+nanj"))
 
 
 def _outcome(result):
@@ -268,6 +274,30 @@ def test_batched_windings_match_single_member_calls(case, s):
     assert batched == [_alone(p) for p in members]
     if kinds is not None:
         assert [o[0] if isinstance(o[0], str) else "ok" for o in batched] == kinds
+
+
+def _mirrored_chains(n=60):
+    """Equal-length chains on one base: a mirror at site 5, one at site 40, none."""
+    base = np.random.default_rng(83).uniform(-0.9, 0.9, n)
+    early, late = base.copy(), base.copy()
+    early[5], late[40] = 1.0, -1.0
+    return [early, late, base]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_mixed_cut_batch_matches_single_member_calls(s):
+    members = [SchurParams(g, steps_per_site=s, samples=256) for g in _mirrored_chains()]
+    batched = [_outcome(r) for r in winding_numbers(members)]
+    assert batched == [_alone(p) for p in members]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chain_equals_its_cut_at_the_first_mirror(s):
+    z = np.concatenate([circle(64), 0.7 * circle(16)])
+    for gammas, first in zip(_mirrored_chains(), (5, 40)):
+        full = schur_eval(SchurParams(gammas, steps_per_site=s), z)
+        cut = schur_eval(SchurParams(gammas[: first + 1], steps_per_site=s), z)
+        assert full.tobytes() == cut.tobytes()
 
 
 def test_batch_members_must_share_the_recursion():

@@ -126,6 +126,18 @@ def test_residual_guard_raises_with_the_config(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_residual_guard_raises_on_a_nan_operator(monkeypatch):
+    cfg = fib_config(13, 1.1, 0.4)
+    monkeypatch.setattr(spectrum, "build_unitary", lambda config: np.full((26, 26), np.nan))
+    with pytest.raises(SolverConvergenceError, match="eigen-residual nan"):
+        quasienergies(cfg)
+
+
+def test_find_gaps_rejects_a_nan_width():
+    spec = quasienergies(fib_config(13, 1.1, 0.4))
+    with pytest.raises(ValueError, match="min_width"):
+        find_gaps(spec, float("nan"))
+
 
 @pytest.mark.parametrize("edge_sites", [0, -3])
 def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, monkeypatch, capsys):

@@ -77,6 +77,9 @@ def test_build_unitary_needs_two_sites():
 def test_boundary_phase_validation():
     with pytest.raises(ValueError):
         WalkConfig(2, CoinAngles(0, 0), standard_word(2), boundary_phase_left=1.5)
+    for phase in (complex("nan+nanj"), complex(np.inf)):
+        with pytest.raises(ValueError, match="unit modulus"):
+            WalkConfig(2, CoinAngles(0, 0), standard_word(2), boundary_phase_right=phase)
 
 
 def test_word_length_must_match():
