@@ -33,13 +33,10 @@ from .schur import (
 from .sequence import (
     DEFAULT_ENSEMBLE,
     CoinAngles,
-    CutProject,
     FibonacciWord,
-    Override,
     Phason,
     PrefixOverride,
     Standard,
-    Substitution,
     Termination,
     angles_for,
     apply_termination,
@@ -57,7 +54,6 @@ from .spectrum import (
     EdgeMode,
     Gap,
     QuasienergySpectrum,
-    boundary_weights,
     classify_edge_modes,
     find_gaps,
     gap_labels,

@@ -36,21 +36,6 @@ def fibonacci_number(order: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class Substitution:
-    order: int
-
-
-@dataclass(frozen=True)
-class CutProject:
-    phason: float
-
-
-@dataclass(frozen=True)
-class Override:
-    prefix: str
-
-
 def _check_letters(letters: str, context: str) -> None:
     if not letters:
         raise ValueError(f"{context}: empty letter string")
@@ -61,30 +46,18 @@ def _check_letters(letters: str, context: str) -> None:
 
 @dataclass(frozen=True)
 class FibonacciWord:
-    """An A/B word together with how it was produced.
+    """An A/B word whose letters after the first prefix_length never contain "BB".
 
-    Substitution and cut-project words never contain the substring "BB"
-    (isolated-B property of the Fibonacci word); an Override word may
-    violate that only inside its rewritten prefix.
+    Substitution and cut-project words have no "BB" at all (isolated-B
+    property of the Fibonacci word); a rewritten surface prefix may.
     """
 
     letters: str
-    provenance: Substitution | CutProject | Override
+    prefix_length: int = 0
 
     def __post_init__(self):
         _check_letters(self.letters, "FibonacciWord")
-        if isinstance(self.provenance, Substitution):
-            expected = fibonacci_number(self.provenance.order)
-            if len(self.letters) != expected:
-                raise ValueError(
-                    f"substitution word of order {self.provenance.order} must have "
-                    f"length {expected}, got {len(self.letters)}"
-                )
-        tail_start = 0
-        if isinstance(self.provenance, Override):
-            _check_letters(self.provenance.prefix, "Override prefix")
-            tail_start = len(self.provenance.prefix)
-        if "BB" in self.letters[tail_start:]:
+        if "BB" in self.letters[self.prefix_length:]:
             raise ValueError("word contains 'BB' outside an overridden prefix")
 
     def __len__(self) -> int:
@@ -152,7 +125,7 @@ def generate_word(order: int) -> FibonacciWord:
     w = "A"
     for _ in range(order - 1):
         w = w.translate(_SUBSTITUTION)
-    return FibonacciWord(w, Substitution(order))
+    return FibonacciWord(w)
 
 
 def cut_project_word(length: int, phason: float) -> FibonacciWord:
@@ -168,7 +141,7 @@ def cut_project_word(length: int, phason: float) -> FibonacciWord:
     hi = np.floor((n + 2.0) * GOLDEN_RATIO_INV + phi)
     lo = np.floor((n + 1.0) * GOLDEN_RATIO_INV + phi)
     letters = np.where(hi - lo == 1.0, "A", "B")
-    return FibonacciWord("".join(letters), CutProject(phi))
+    return FibonacciWord("".join(letters))
 
 
 def standard_word(length: int) -> FibonacciWord:
@@ -186,7 +159,7 @@ def apply_termination(word: FibonacciWord, term: Termination) -> FibonacciWord:
             raise ValueError(
                 f"override '{p}' longer than word of length {len(word)}"
             )
-        return FibonacciWord(p + word.letters[len(p):], Override(p))
+        return FibonacciWord(p + word.letters[len(p):], len(p))
     if isinstance(term, Phason):
         return cut_project_word(len(word), term.phi)
     raise TypeError(f"unsupported termination: {term!r}")

@@ -58,14 +58,24 @@ def _edge_sites(n_sites: int, edge_sites: int | None) -> int:
 
 @dataclass
 class QuasienergySpectrum:
-    """All 2N eigenpairs of a walk unitary, sorted by quasienergy."""
+    """All 2N eigenpairs of a walk unitary, sorted by quasienergy.
+
+    left_mass and right_mass hold each state's probability on the
+    edge_sites leftmost and rightmost sites.
+    """
 
     energies: np.ndarray
     states: np.ndarray  # column k belongs to energies[k]
-    boundary_weights: np.ndarray
+    left_mass: np.ndarray
+    right_mass: np.ndarray
     config: WalkConfig
     edge_sites: int
     max_residual: float
+
+    @property
+    def boundary_weights(self) -> np.ndarray:
+        """Probability mass on both edges, per state."""
+        return self.left_mass + self.right_mass
 
 
 @dataclass(frozen=True)
@@ -93,17 +103,12 @@ class EdgeMode:
 
 
 def _boundary_masses(states: np.ndarray, n_sites: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    m = min(_edge_sites(n_sites, m), n_sites)
+    """Probability mass on the m leftmost and on the m rightmost sites, per column."""
+    m = min(m, n_sites)
     prob = (np.abs(states) ** 2).reshape(n_sites, 2, states.shape[1]).sum(axis=1)
     left = prob[:m].sum(axis=0)
     right = prob[max(n_sites - m, m):].sum(axis=0)
     return left, right
-
-
-def boundary_weights(states: np.ndarray, n_sites: int, m: int) -> np.ndarray:
-    """Probability mass on the m leftmost plus m rightmost sites, per column."""
-    left, right = _boundary_masses(states, n_sites, m)
-    return left + right
 
 
 def _hermitian_eigh(small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,11 +198,13 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     vecs = vecs[:, order]
+    left, right = _boundary_masses(vecs, config.n_sites, m)
 
     return QuasienergySpectrum(
         energies=energies,
         states=vecs,
-        boundary_weights=boundary_weights(vecs, config.n_sites, m),
+        left_mass=left,
+        right_mass=right,
         config=config,
         edge_sites=m,
         max_residual=max_residual,
@@ -231,7 +238,6 @@ def find_gaps(spectrum: QuasienergySpectrum, min_width: float) -> list[Gap]:
 def classify_edge_modes(
     spectrum: QuasienergySpectrum,
     gaps: list[Gap],
-    edge_sites: int | None = None,
     weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
     pin_tolerance: float = DEFAULT_PIN_TOLERANCE,
 ) -> list[EdgeMode]:
@@ -245,10 +251,8 @@ def classify_edge_modes(
     """
     if not 0.0 < weight_threshold < 1.0:
         raise ValueError(f"weight_threshold must be in (0, 1), got {weight_threshold}")
-    n = spectrum.config.n_sites
-    m = spectrum.edge_sites if edge_sites is None else edge_sites
-    left, right = _boundary_masses(spectrum.states, n, m)
-    weights = left + right
+    left, right = spectrum.left_mass, spectrum.right_mass
+    weights = spectrum.boundary_weights
     e = spectrum.energies
     k = len(e)
 

@@ -43,6 +43,8 @@ from .walk import WalkConfig
 STATUS_OK = "ok"
 STATUS_AMBIGUOUS = "ambiguous"
 STATUS_ERROR = "error"
+# every cell status, in the order the CLI counts them
+STATUSES = (STATUS_OK, STATUS_AMBIGUOUS, STATUS_ERROR)
 
 KIND_MCD = "mcd"
 KIND_WINDING = "winding"

@@ -192,11 +192,29 @@ def test_config_rejects_boundary_contamination(tmp_path, capsys):
     assert "steps < n/2" in err
 
 
-def test_config_type_checking(tmp_path, capsys):
+@pytest.mark.parametrize("key,value", [
+    ("theta_a", "west"), ("n", True), ("n", 2.0), ("degrees", 1), ("termination", 3),
+])
+def test_config_type_checking(key, value, tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"theta_a": "west", "theta_b": 0.0}))
-    code, _, err = run(capsys, "winding", "--config", str(cfg))
-    assert code == 1 and "theta_a" in err
+    cfg.write_text(json.dumps({"theta_a": 1.0, "theta_b": 0.0, key: value}))
+    code, out, err = run(capsys, "winding", "--config", str(cfg),
+                         "--output", str(tmp_path / "w.json"))
+    assert code == 1 and out == ""
+    assert f"config key '{key}'" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_accepts_an_int_for_a_float_key(tmp_path, capsys):
+    outputs = []
+    for theta_a in (1, 1.0):
+        cfg = tmp_path / f"c_{theta_a!r}.json"
+        cfg.write_text(json.dumps({"theta_a": theta_a, "theta_b": 0.4, "n": 55}))
+        out_path = tmp_path / "w.json"
+        code, _, _ = run(capsys, "winding", "--config", str(cfg), "--output", str(out_path))
+        assert code == 0
+        outputs.append((out_path.read_bytes(), Path(str(out_path) + ".meta.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_config_file(capsys):

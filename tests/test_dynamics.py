@@ -12,7 +12,7 @@ from fibwalk.dynamics import (
     series_average,
 )
 from fibwalk.errors import BoundaryContaminationError, ComputationError
-from fibwalk.sequence import CoinAngles, FibonacciWord, Override, standard_word
+from fibwalk.sequence import CoinAngles, FibonacciWord, standard_word
 from fibwalk.sweep import STATUS_ERROR, GridSpec, sweep_mcd
 from fibwalk.walk import (
     Timeframe,
@@ -24,7 +24,7 @@ from fibwalk.walk import (
 
 
 def uniform_config(n, theta):
-    return WalkConfig(n, CoinAngles(theta, theta), FibonacciWord("A" * n, Override("A")))
+    return WalkConfig(n, CoinAngles(theta, theta), FibonacciWord("A" * n, 1))
 
 
 def fib_config(n, theta_a, theta_b):

@@ -4,7 +4,6 @@ import pytest
 from fibwalk.sequence import (
     CoinAngles,
     FibonacciWord,
-    Override,
     Phason,
     PrefixOverride,
     Standard,
@@ -88,22 +87,22 @@ def test_no_bb_anywhere():
 
 def test_word_invariants_rejected():
     with pytest.raises(ValueError):
-        FibonacciWord("ABBA", Override("A"))  # BB outside the prefix
+        FibonacciWord("ABBA", 1)  # BB outside the prefix
     with pytest.raises(ValueError):
-        FibonacciWord("AXB", Override("A"))
+        FibonacciWord("AXB", 1)
     # BB confined to the prefix is allowed
-    FibonacciWord("BBA", Override("BB"))
+    FibonacciWord("BBA", 2)
 
 
 def test_apply_termination_prefix():
-    w = FibonacciWord("ABAAB", Override("ABAAB"))
+    w = FibonacciWord("ABAAB", 5)
     assert apply_termination(w, PrefixOverride("BAB")).letters == "BABAB"
     assert apply_termination(w, Standard()).letters == "ABAAB"
     assert apply_termination(w, PrefixOverride("ABA")).letters == "ABAAB"
 
 
 def test_apply_termination_too_long():
-    w = FibonacciWord("AB", Override("AB"))
+    w = FibonacciWord("AB", 2)
     with pytest.raises(ValueError):
         apply_termination(w, PrefixOverride("BAB"))
 
@@ -126,11 +125,11 @@ def test_phason_reduced_modulo_one():
 
 
 def test_angles_for():
-    ab = FibonacciWord("AB", Override("AB"))
+    ab = FibonacciWord("AB", 2)
     assert np.allclose(angles_for(ab, CoinAngles(np.pi / 2, 0.0)), [np.pi / 2, 0.0])
-    aba = FibonacciWord("ABA", Override("AB"))
+    aba = FibonacciWord("ABA", 2)
     assert np.allclose(angles_for(aba, CoinAngles(0.7, 0.7)), [0.7, 0.7, 0.7])
-    w = FibonacciWord("ABAAB", Override("ABAAB"))
+    w = FibonacciWord("ABAAB", 5)
     assert np.allclose(angles_for(w, CoinAngles(0.3, 1.1)), [0.3, 1.1, 0.3, 0.3, 1.1])
 
 

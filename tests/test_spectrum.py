@@ -5,10 +5,9 @@ from helpers import circle_multisets_close
 from fibwalk import spectrum
 from fibwalk.cli import main
 from fibwalk.errors import SolverConvergenceError
-from fibwalk.sequence import GOLDEN_RATIO_INV, CoinAngles, FibonacciWord, Override, standard_word
+from fibwalk.sequence import GOLDEN_RATIO_INV, CoinAngles, FibonacciWord, standard_word
 from fibwalk.spectrum import (
     Gap,
-    boundary_weights,
     classify_edge_modes,
     find_gaps,
     gap_labels,
@@ -18,7 +17,7 @@ from fibwalk.walk import Timeframe, WalkConfig, build_unitary
 
 
 def uniform_config(n, theta):
-    word = FibonacciWord("A" * n, Override("A"))
+    word = FibonacciWord("A" * n, 1)
     return WalkConfig(n, CoinAngles(theta, theta), word)
 
 
@@ -142,11 +141,6 @@ def test_find_gaps_rejects_a_nan_width():
 @pytest.mark.parametrize("edge_sites", [0, -3])
 def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, monkeypatch, capsys):
     cfg = fib_config(34, 1.0, 0.4)
-    spec = quasienergies(cfg)
-    with pytest.raises(ValueError, match="edge_sites"):
-        boundary_weights(spec.states, 34, edge_sites)
-    with pytest.raises(ValueError, match="edge_sites"):
-        classify_edge_modes(spec, find_gaps(spec, 0.02), edge_sites=edge_sites)
 
     def no_solve(config):
         raise AssertionError("build_unitary reached")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import circle_multisets_close
 
-from fibwalk.sequence import CoinAngles, FibonacciWord, Override, standard_word
+from fibwalk.sequence import CoinAngles, FibonacciWord, standard_word
 from fibwalk.walk import (
     Timeframe,
     WalkConfig,
@@ -14,7 +14,7 @@ from fibwalk.walk import (
 
 
 def uniform_word(n):
-    return FibonacciWord("A" * n, Override("A"))
+    return FibonacciWord("A" * n, 1)
 
 
 def random_config(rng, n=None, timeframe=Timeframe.PLAIN, phases=(1.0, 1.0)):
