@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     BASIS_AVERAGE,
+    mcd_block_series,
     mcd_series,
     mcd_time_average,
     series_average,

@@ -216,7 +216,11 @@ def load_config(path: str, command: str) -> dict:
         if not (type(value) is p.type or (p.type is float and type(value) is int)):
             raise _CliError(f"config key '{key}' must be of type {p.type.__name__}, "
                             f"got {value!r}")
-        values[key] = p.type(value)
+        try:
+            values[key] = p.type(value)
+        except OverflowError as exc:
+            raise _CliError(f"config key '{key}' is out of range for "
+                            f"{p.type.__name__}: {exc}") from exc
         if p.choices and values[key] not in p.choices:
             raise _CliError(f"config key '{key}' must be one of {p.choices}, got {value!r}")
     return values

@@ -9,21 +9,27 @@ which keeps the light cone of a center-started walker away from the
 boundaries.  The default coin policy averages the runs started from |L>
 and |R>.
 
-mcd_series steps all runs of a coin policy together as one (runs, 2, N)
-array, in real arithmetic when the boundary phases and the start spinors
-are real.  C(t) is taken per run on contiguous rows and the runs are added
-in run order, so every value is bitwise the one that stepping each run
-alone, as a complex (2, N) array through apply_step, gives.
+Every MCD runs one stepping loop over a (cells, runs, 2, N) stack: cells
+share the word, the boundary phases, the timeframe and the start site and
+differ only in their coin angles.  mcd_series is its one-cell case and
+steps the whole chain.  mcd_block_series steps a block of cells and only
+their light cone: at step t, only sites center - t .. center + t can be
+non-zero.  The stack is real when the boundary phases and the start
+spinors are real.  C(t) is taken per run with full-length reductions and
+the runs are added in run order, so every value is bitwise the one that
+stepping each run alone, as a complex (2, N) array through apply_step,
+gives, whatever the block.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import walk
 from .errors import BoundaryContaminationError, ComputationError
+from .sequence import CoinAngles
 # apply_step and localized_state stay importable from here: bench/tracing.py
 # wraps both by name.
 from .walk import WalkConfig, apply_step, localized_state  # noqa: F401
@@ -31,9 +37,14 @@ from .walk import WalkConfig, apply_step, localized_state  # noqa: F401
 BASIS_AVERAGE = "basis-average"
 
 
-def _displacement(x: np.ndarray, prob: np.ndarray) -> float:
-    """2 * sum_x x (|L_x|^2 - |R_x|^2) from the (2, N) coin probabilities."""
-    return float(2.0 * np.dot(x, prob[0] - prob[1]))
+def _displacement(x: np.ndarray, prob: np.ndarray):
+    """2 * sum_x x (|L_x|^2 - |R_x|^2) from (..., 2, N) coin probabilities.
+
+    A stack goes in as (cells, runs, 2, N): np.dot on a 3-D operand takes
+    one dot product per run, bitwise the np.dot of a single run.  A 2-D
+    operand would go through gemv, which rounds differently.
+    """
+    return 2.0 * np.dot(prob[..., 0, :] - prob[..., 1, :], x)
 
 
 def _coin_runs(coin_policy) -> list:
@@ -48,33 +59,94 @@ def _coin_runs(coin_policy) -> list:
     return [coin_policy]
 
 
+def _series(stack: np.ndarray, advance, steps: int, runs: list) -> list:
+    """C(t) for t = 0..steps per cell of a (cells, runs, 2, N) stack at t = 0.
+
+    advance(stack, t) returns the stack at step t.  A cell whose run norm
+    drifts from 1 by more than walk.NORM_TOLERANCE gets a ComputationError
+    naming its first drifting run and step instead of its series.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    cells, _, _, n = stack.shape
+    x = np.arange(n, dtype=float) - n // 2
+    disp = np.empty((steps + 1, cells, len(runs)))
+    norm2 = np.empty_like(disp)
+    for t in range(steps + 1):
+        if t:
+            stack = advance(stack, t)
+        prob = np.abs(stack) ** 2
+        norm2[t] = prob.reshape(cells, len(runs), -1).sum(axis=-1)
+        disp[t] = _displacement(x, prob)
+    total = np.zeros((cells, steps + 1))
+    for r in range(len(runs)):  # 0.0 + C_0 + C_1 + ...: the runs in run order
+        total += disp[:, :, r].T
+    series = total / len(runs)
+    drift = np.abs(np.sqrt(norm2) - 1.0)
+    drifted = ~(drift <= walk.NORM_TOLERANCE)
+    out = []
+    for cell in range(cells):
+        if not drifted[:, cell].any():
+            out.append(series[cell])
+            continue
+        t, r = divmod(int(drifted[:, cell].argmax()), len(runs))
+        out.append(ComputationError(
+            f"norm of run {r} (coin {runs[r]!r}) drifted by {drift[t, cell, r]:.3g} "
+            f"at step {t}, beyond {walk.NORM_TOLERANCE:g}"
+        ))
+    return out
+
+
 def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> np.ndarray:
     """C(t) for t = 0..steps from the lattice center, averaged over the coin policy.
 
     Raises ComputationError when a run's norm drifts from 1 by more than
     walk.NORM_TOLERANCE at any step.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     runs = _coin_runs(coin_policy)
-    n, center = config.n_sites, config.n_sites // 2
-    stack = walk.localized_state(config, center, runs)
+    stack = walk.localized_state(config, config.n_sites // 2, runs)
     step = walk.stepper(config, stack.dtype)
-    x = np.arange(n, dtype=float) - center
-    total = np.zeros(steps + 1)
-    for t in range(steps + 1):
-        if t:
-            stack = step(stack)
-        prob = np.abs(stack) ** 2
-        for r, run in enumerate(prob):
-            drift = abs(math.sqrt(run.sum()) - 1.0)
-            if not drift <= walk.NORM_TOLERANCE:
-                raise ComputationError(
-                    f"norm of run {r} (coin {runs[r]!r}) drifted by {drift:.3g} "
-                    f"at step {t}, beyond {walk.NORM_TOLERANCE:g}"
-                )
-            total[t] += _displacement(x, run)
-    return total / len(runs)
+    [series] = _series(stack[None], lambda stack, t: step(stack), steps, runs)
+    if isinstance(series, ComputationError):
+        raise series
+    return series
+
+
+def _light_cone(config: WalkConfig, coins: list[CoinAngles], dtype):
+    """advance(stack, t) for center-started cells, one per coin pair.
+
+    Only the sites that step t can reach are stepped, with the coin factors
+    sliced to match; every other site is still exactly 0.
+    """
+    factors = [walk.step_factors(replace(config, coins=pair), dtype) for pair in coins]
+    c = np.stack([f[0] for f in factors])[:, None]
+    s = np.stack([f[1] for f in factors])[:, None]
+    alpha_l, alpha_r = factors[0][2:]
+    n, center, timeframe = config.n_sites, config.n_sites // 2, config.timeframe
+
+    def advance(stack, t):
+        lo, hi = max(center - t, 0), min(center + t + 1, n)
+        stack[..., lo:hi] = walk.step_sites(
+            stack[..., lo:hi], c[..., lo:hi], s[..., lo:hi], alpha_l, alpha_r, timeframe
+        )
+        return stack
+
+    return advance
+
+
+def mcd_block_series(
+    config: WalkConfig, coins: list[CoinAngles], steps: int, coin_policy=BASIS_AVERAGE
+) -> list:
+    """mcd_series of each cell of a block, stepped together as one array.
+
+    config fixes the word, the boundary phases and the timeframe; each coin
+    pair in coins is one cell.  A cell whose norm drifts gets the
+    ComputationError mcd_series would raise, in place of its series.
+    """
+    runs = _coin_runs(coin_policy)
+    start = walk.localized_state(config, config.n_sites // 2, runs)
+    stack = np.repeat(start[None], len(coins), axis=0)
+    return _series(stack, _light_cone(config, coins, stack.dtype), steps, runs)
 
 
 def series_average(series: np.ndarray, convention: str = "mean") -> float:

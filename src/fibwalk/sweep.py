@@ -1,10 +1,14 @@
 """Phase-diagram sweeps over the (theta_a, theta_b) parameter plane.
 
 Grid points sit at cell centers and cells are evaluated in row-major order
-with theta_b fastest.  Every cell is a pure function of its parameters, so
-results are bitwise identical whether cells run serially or on a process
-pool; per-cell computation failures become cell statuses instead of
-aborting the sweep.
+with theta_b fastest, in blocks of consecutive cells that run serially or
+on a process pool.  Every cell's value is a pure function of its
+parameters, bitwise the same whatever its block or the worker count;
+per-cell computation failures become cell statuses instead of aborting
+the sweep.
+
+An MCD block is one mcd_block_series call, which steps all its cells as
+one array; blocks are capped by an amplitude budget.
 
 Both winding maps run one cell function: a cell is one batched Schur
 evaluation (schur.winding_numbers) of its members -- one termination for
@@ -26,7 +30,14 @@ from operator import itemgetter
 import numpy as np
 
 from . import schur
-from .dynamics import BASIS_AVERAGE, check_mcd_window, mcd_time_average
+# mcd_time_average stays importable from here: bench/tracing.py wraps it by name.
+from .dynamics import (  # noqa: F401
+    BASIS_AVERAGE,
+    check_mcd_window,
+    mcd_block_series,
+    mcd_time_average,
+    series_average,
+)
 from .errors import ComputationError
 from .sequence import (
     CoinAngles,
@@ -51,6 +62,10 @@ KIND_WINDING = "winding"
 KIND_WINDING_AVERAGE = "winding_average"
 
 DEFAULT_RESOLUTION = 101
+
+# Amplitudes per MCD block, at two runs of two coin rows per cell: 13 cells
+# at N = 610.  Larger blocks stop paying for their memory traffic.
+_MCD_BLOCK_AMPLITUDES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -98,20 +113,39 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
-def _run_cells(cell_fn, cells, workers: int | None):
+def _run_blocks(block_fn, cells, workers: int | None, max_block: int | None = None):
+    """block_fn over consecutive blocks of cells, its results joined in cell order.
+
+    block_fn maps a list of cells to a list of results.  Without max_block a
+    block holds len(cells) // (workers * 8) cells; with it, at most max_block
+    cells and at most a worker's share.  A block holds at least one cell.
+    """
     if workers is None:
         workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers <= 1 or len(cells) < 2:
-        return [cell_fn(cell) for cell in cells]
-    chunk = max(1, len(cells) // (workers * 8))
+    if max_block is None:
+        size = len(cells) // (workers * 8)
+    else:
+        size = min(max_block, -(-len(cells) // workers))
+    size = max(1, size)
+    blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
+    if workers <= 1 or len(blocks) < 2:
+        return [result for block in blocks for result in block_fn(block)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell_fn, cells, chunksize=chunk))
+        return [result for done in pool.map(block_fn, blocks) for result in done]
 
 
-def _sweep(grid, kind, termination, cell_fn, workers) -> PhaseDiagram:
-    results = _run_cells(cell_fn, grid.cells(), workers)
+def _each(cell_fn, block):
+    return [cell_fn(cell) for cell in block]
+
+
+def _run_cells(cell_fn, cells, workers: int | None):
+    """cell_fn over every cell, one call per cell."""
+    return _run_blocks(partial(_each, cell_fn), cells, workers)
+
+
+def _diagram(grid, kind, termination, results) -> PhaseDiagram:
     return PhaseDiagram(
         grid=grid,
         kind=kind,
@@ -121,14 +155,14 @@ def _sweep(grid, kind, termination, cell_fn, workers) -> PhaseDiagram:
     )
 
 
-def _mcd_cell(cell, word, steps, coin_policy, convention):
-    theta_a, theta_b = cell
-    config = WalkConfig(len(word), CoinAngles(theta_a, theta_b), word)
-    try:
-        value = mcd_time_average(config, steps, coin_policy, convention)
-    except ComputationError:
-        return float("nan"), STATUS_ERROR
-    return value, STATUS_OK
+def _mcd_block(cells, word, steps, coin_policy, convention):
+    config = WalkConfig(len(word), CoinAngles(*cells[0]), word)
+    coins = [CoinAngles(*cell) for cell in cells]
+    return [
+        (float("nan"), STATUS_ERROR) if isinstance(series, ComputationError)
+        else (series_average(series, convention), STATUS_OK)
+        for series in mcd_block_series(config, coins, steps, coin_policy)
+    ]
 
 
 def _member(result) -> tuple[float, str]:
@@ -178,11 +212,13 @@ def sweep_mcd(
     """Long-time MCD average per grid cell."""
     check_mcd_window(n_sites, steps)
     word = word_for_termination(n_sites, termination)
-    cell_fn = partial(
-        _mcd_cell, word=word, steps=steps,
+    block_fn = partial(
+        _mcd_block, word=word, steps=steps,
         coin_policy=coin_policy, convention=convention,
     )
-    return _sweep(grid, KIND_MCD, termination_label(termination), cell_fn, workers)
+    max_block = max(1, _MCD_BLOCK_AMPLITUDES // (4 * n_sites))
+    results = _run_blocks(block_fn, grid.cells(), workers, max_block)
+    return _diagram(grid, KIND_MCD, termination_label(termination), results)
 
 
 def sweep_winding(
@@ -199,7 +235,8 @@ def sweep_winding(
     word = word_for_termination(n_sites, termination)
     contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
     cell_fn = partial(_winding_cell, words=[word], reduce=itemgetter(0), **contour)
-    return _sweep(grid, KIND_WINDING, termination_label(termination), cell_fn, workers)
+    results = _run_cells(cell_fn, grid.cells(), workers)
+    return _diagram(grid, KIND_WINDING, termination_label(termination), results)
 
 
 def sweep_winding_average(
@@ -224,4 +261,4 @@ def sweep_winding_average(
     contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
     cell_fn = partial(_winding_cell, words=words, reduce=_mean, **contour)
     label = "+".join(termination_label(term) for term in ensemble)
-    return _sweep(grid, KIND_WINDING_AVERAGE, label, cell_fn, workers)
+    return _diagram(grid, KIND_WINDING_AVERAGE, label, _run_cells(cell_fn, grid.cells(), workers))

@@ -120,12 +120,12 @@ def _real_phases(config: WalkConfig) -> bool:
     return np.imag(config.boundary_phase_left) == 0 and np.imag(config.boundary_phase_right) == 0
 
 
-def stepper(config: WalkConfig, dtype=np.complex128):
-    """One matrix-free walk step as a function of an amplitude stack.
+def step_factors(config: WalkConfig, dtype=np.complex128):
+    """Per-site coin factors and boundary phases of one step: (cos, sin, alpha_l, alpha_r).
 
-    The returned function maps an array of shape (..., 2, n_sites) and the
-    given dtype to the stack one step later.  The coin factors are computed
-    here, once, not at every step.  A real dtype needs real boundary phases.
+    cos and sin are taken of the sites' coin angles, halved in the
+    symmetrized timeframe.  A real dtype needs real boundary phases, which
+    are then returned as floats.
     """
     th = config.angles()
     al, ar = config.boundary_phase_left, config.boundary_phase_right
@@ -133,11 +133,34 @@ def stepper(config: WalkConfig, dtype=np.complex128):
         if not _real_phases(config):
             raise ValueError("a real amplitude stack needs real boundary phases")
         al, ar = al.real, ar.real
-    if config.timeframe is Timeframe.PLAIN:
-        c, s = np.cos(th), np.sin(th)
-        return lambda amps: _shift(_coin(amps, c, s), al, ar)
-    ch, sh = np.cos(th / 2.0), np.sin(th / 2.0)
-    return lambda amps: _coin(_shift(_coin(amps, ch, sh), al, ar), ch, sh)
+    if config.timeframe is Timeframe.SYMMETRIZED:
+        th = th / 2.0
+    return np.cos(th), np.sin(th), al, ar
+
+
+def step_sites(amps: np.ndarray, c, s, alpha_l, alpha_r, timeframe: Timeframe) -> np.ndarray:
+    """One step of a (..., 2, M) stack whose M sites the factors c and s cover.
+
+    The shift's boundary terms act at the ends of the M sites.  That is the
+    chain's own boundary when the M sites are the whole chain.  On a window
+    of the chain the step is still exact when the window's end sites and
+    everything outside it are empty, as at the edge of a light cone.
+    """
+    if timeframe is Timeframe.PLAIN:
+        return _shift(_coin(amps, c, s), alpha_l, alpha_r)
+    return _coin(_shift(_coin(amps, c, s), alpha_l, alpha_r), c, s)
+
+
+def stepper(config: WalkConfig, dtype=np.complex128):
+    """One matrix-free walk step as a function of an amplitude stack.
+
+    The returned function maps an array of shape (..., 2, n_sites) and the
+    given dtype to the stack one step later.  The coin factors are computed
+    here, once, not at every step.  A real dtype needs real boundary phases.
+    """
+    c, s, al, ar = step_factors(config, dtype)
+    timeframe = config.timeframe
+    return lambda amps: step_sites(amps, c, s, al, ar, timeframe)
 
 
 def apply_step(amps: np.ndarray, config: WalkConfig) -> np.ndarray:

@@ -217,6 +217,16 @@ def test_config_accepts_an_int_for_a_float_key(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_config_int_beyond_the_float_range_exits_one_without_output(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theta_a": 10 ** 400, "theta_b": 0.4, "n": 55}))
+    code, out, err = run(capsys, "winding", "--config", str(cfg),
+                         "--output", str(tmp_path / "w.json"))
+    assert code == 1 and out == ""
+    assert "config key 'theta_a'" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "winding", "--config", "/nonexistent.json")
     assert code == 1

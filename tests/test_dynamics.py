@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from fibwalk import walk
 from fibwalk.cli import main
 from fibwalk.dynamics import (
     _displacement,
+    mcd_block_series,
     mcd_series,
     mcd_time_average,
     series_average,
@@ -184,6 +186,60 @@ def test_stacked_series_is_bitwise_the_per_run_loop(timeframe, phases, coin_poli
     steps = n // 2 - 1
     series = mcd_series(cfg, steps, coin_policy)
     assert series.tobytes() == reference_series(cfg, steps, coin_policy).tobytes()
+
+
+def full_width_series(config, steps, coin_policy):
+    """C(t) of an apply_step loop over the whole chain, one run at a time.
+
+    C(t) = 2 sum_x x (|L_x|^2 - |R_x|^2) per run, with the runs added in run
+    order and then divided by their count.
+    """
+    runs = ["L", "R"] if coin_policy == "basis-average" else [coin_policy]
+    center = config.n_sites // 2
+    x = np.arange(config.n_sites, dtype=float) - center
+    total = np.zeros(steps + 1)
+    for coin in runs:
+        amps = localized_state(config, center, [coin])[0]
+        for t in range(steps + 1):
+            if t:
+                amps = walk.apply_step(amps, config)
+            prob = np.abs(amps) ** 2
+            total[t] += 2.0 * np.dot(x, prob[0] - prob[1])
+    return total / len(runs)
+
+
+BLOCK_COINS = [CoinAngles(0.9, -2.3), CoinAngles(0.2, 1.4), CoinAngles(-2.8, 0.7)]
+
+
+# n // 2 steps take the cone to site 0 (and, for even n, past site n - 1);
+# at n = 21 the walk runs on long after its cone has filled the chain.
+@pytest.mark.parametrize("n,steps", [(89, 44), (90, 45), (21, 30)])
+@pytest.mark.parametrize("coin_policy", ["basis-average", (0.6, 0.8j)])
+@pytest.mark.parametrize(
+    "phases", [(-1.0, 1.0), (np.exp(0.3j), np.exp(-1.1j))], ids=["real", "complex"],
+)
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_light_cone_series_are_bitwise_the_full_width_loop(timeframe, phases, coin_policy,
+                                                           n, steps):
+    cfg = WalkConfig(n, BLOCK_COINS[0], standard_word(n), *phases, timeframe)
+    expected = [full_width_series(replace(cfg, coins=pair), steps, coin_policy)
+                for pair in BLOCK_COINS]
+    assert mcd_series(cfg, steps, coin_policy).tobytes() == expected[0].tobytes()
+    block = mcd_block_series(cfg, BLOCK_COINS, steps, coin_policy)
+    assert [series.tobytes() for series in block] == [e.tobytes() for e in expected]
+
+
+def test_a_drifting_cell_fails_alone_in_its_block(monkeypatch):
+    # The identity coin keeps the center-started runs still, so cells with
+    # theta = 0 stay exactly normalized; a tolerance of 0 fails the rest.
+    monkeypatch.setattr(walk, "NORM_TOLERANCE", 0.0)
+    cfg = fib_config(64, 1.0, 0.3)
+    block = mcd_block_series(cfg, [CoinAngles(0.0, 0.0), CoinAngles(1.0, 0.3)], 10)
+    assert block[0].tobytes() == mcd_series(uniform_config(64, 0.0), 10).tobytes()
+    assert isinstance(block[1], ComputationError)
+    with pytest.raises(ComputationError) as single:
+        mcd_series(cfg, 10)
+    assert str(block[1]) == str(single.value)
 
 
 def test_norm_drift_is_a_computation_error(monkeypatch, tmp_path, capsys):

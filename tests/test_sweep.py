@@ -4,12 +4,16 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fibwalk import walk
+from fibwalk.dynamics import mcd_time_average
 from fibwalk.sequence import (
     DEFAULT_ENSEMBLE,
+    CoinAngles,
     Phason,
     PrefixOverride,
     Standard,
     phason_ensemble,
+    standard_word,
     word_for_termination,
 )
 from fibwalk.schur import (
@@ -32,6 +36,7 @@ from fibwalk.sweep import (
     sweep_winding,
     sweep_winding_average,
 )
+from fibwalk.walk import WalkConfig
 
 FLAGSHIP = dict(
     theta_a_lo=np.pi / 2 - 0.3, theta_a_hi=np.pi / 2 + 0.3,
@@ -178,7 +183,25 @@ def test_serial_and_parallel_runs_are_bitwise_identical():
     mcd_serial = sweep_mcd(grid, n_sites=64, steps=20)
     mcd_parallel = sweep_mcd(grid, n_sites=64, steps=20, workers=4)
     assert mcd_serial.values.tobytes() == mcd_parallel.values.tobytes()
+    assert mcd_serial.statuses == mcd_parallel.statuses
 
+
+def test_mcd_blocks_do_not_change_the_map(monkeypatch):
+    # 49 cells at N = 233 make blocks of 35 + 14 cells serially, 25 + 24 on
+    # two workers and 17 + 17 + 15 on three.
+    grid = GridSpec(-3.0, 3.1, -2.9, 3.05, resolution=7)
+    word = standard_word(233)
+    expected = np.array([mcd_time_average(WalkConfig(233, CoinAngles(*cell), word), 100)
+                         for cell in grid.cells()])
+    for workers in (1, 2, 3):
+        diagram = sweep_mcd(grid, n_sites=233, steps=100, workers=workers)
+        assert diagram.values.tobytes() == expected.tobytes()
+        assert diagram.statuses == [STATUS_OK] * 49
+
+    monkeypatch.setattr(walk, "NORM_TOLERANCE", -1.0)
+    diagram = sweep_mcd(grid, n_sites=233, steps=100, workers=1)
+    assert diagram.statuses == [STATUS_ERROR] * 49
+    assert np.all(np.isnan(diagram.values))
 
 
 @pytest.mark.parametrize("ensemble", [DEFAULT_ENSEMBLE, phason_ensemble(3)],
