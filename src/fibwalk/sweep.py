@@ -64,7 +64,8 @@ KIND_WINDING_AVERAGE = "winding_average"
 DEFAULT_RESOLUTION = 101
 
 # Amplitudes per MCD block, at two runs of two coin rows per cell: 13 cells
-# at N = 610.  Larger blocks stop paying for their memory traffic.
+# at N = 610.  Per cell, blocks of 13 to 52 cells ran within 10% of each
+# other (2-core host); smaller blocks leave the pool more to balance.
 _MCD_BLOCK_AMPLITUDES = 2 ** 15
 
 
@@ -156,8 +157,8 @@ def _diagram(grid, kind, termination, results) -> PhaseDiagram:
 
 
 def _mcd_block(cells, word, steps, coin_policy, convention):
-    config = WalkConfig(len(word), CoinAngles(*cells[0]), word)
     coins = [CoinAngles(*cell) for cell in cells]
+    config = WalkConfig(len(word), coins[0], word)
     return [
         (float("nan"), STATUS_ERROR) if isinstance(series, ComputationError)
         else (series_average(series, convention), STATUS_OK)
@@ -261,4 +262,5 @@ def sweep_winding_average(
     contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
     cell_fn = partial(_winding_cell, words=words, reduce=_mean, **contour)
     label = "+".join(termination_label(term) for term in ensemble)
-    return _diagram(grid, KIND_WINDING_AVERAGE, label, _run_cells(cell_fn, grid.cells(), workers))
+    results = _run_cells(cell_fn, grid.cells(), workers)
+    return _diagram(grid, KIND_WINDING_AVERAGE, label, results)
