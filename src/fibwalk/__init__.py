@@ -72,6 +72,7 @@ from .walk import (
     WalkConfig,
     apply_step,
     build_unitary,
+    chiral_frames,
     chiral_operator,
     localized_state,
 )

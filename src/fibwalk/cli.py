@@ -96,6 +96,13 @@ _GRID = (
 _TERMINATION = P("termination", str, "standard", "surface termination: 'standard', a 1-3 "
                  "letter A/B prefix, or 'phason:<x>' (default: standard)")
 
+_BOUNDARY = (
+    P("phase_left", float, 0.0, "left reflection phase angle chi, alpha_L = exp(i chi) (default: 0)"),
+    P("phase_right", float, 0.0, "right reflection phase angle (default: 0)"),
+    P("timeframe", str, Timeframe.PLAIN.value, f"walk timeframe (default: {Timeframe.PLAIN.value})",
+      choices=tuple(t.value for t in Timeframe)),
+)
+
 _CUTOFF = P("n", int, schur.DEFAULT_CUTOFF, f"recursion cutoff (default: {schur.DEFAULT_CUTOFF})")
 
 _COIN_POLICIES = (BASIS_AVERAGE, "L", "R")
@@ -301,10 +308,7 @@ def _run_word(params: dict) -> tuple[str, dict]:
     *_ANGLES,
     P("n", int, 233, "lattice sites (default: 233)"),
     _TERMINATION,
-    P("phase_left", float, 0.0, "left reflection phase angle chi, alpha_L = exp(i chi) (default: 0)"),
-    P("phase_right", float, 0.0, "right reflection phase angle (default: 0)"),
-    P("timeframe", str, Timeframe.PLAIN.value, f"walk timeframe (default: {Timeframe.PLAIN.value})",
-      choices=tuple(t.value for t in Timeframe)),
+    *_BOUNDARY,
     P("min_gap_width", float, DEFAULT_MIN_GAP_WIDTH,
       f"smallest reported spectral gap, radians (default: {DEFAULT_MIN_GAP_WIDTH})"),
     P("edge_sites", int, None, "sites per edge for boundary weights (default: max(5, N/50))"),
@@ -360,6 +364,7 @@ def _run_spectrum(params: dict) -> tuple[str, dict]:
     P("convention", str, "mean", "time average: plain mean over t=1..T or cesaro (default: mean)",
       choices=("mean", "cesaro")),
     _TERMINATION,
+    *_BOUNDARY,
     *_common_params("mcd.csv", "csv"),
 )
 def _run_mcd(params: dict) -> tuple[str, dict]:

@@ -228,6 +228,26 @@ def build_unitary(config: WalkConfig) -> np.ndarray:
     return _coin_rows(th / 2.0, _shift_rows(half, al, ar))
 
 
+def chiral_frames(config: WalkConfig) -> np.ndarray:
+    """Per-site eigenvectors of the walk's chiral operator, shape (2, n_sites, 2).
+
+    frames[0, x] is site x's (L, R) spinor with eigenvalue +1 and
+    frames[1, x] the one with -1.  The chiral operator is site-local:
+    sigma_x on every coin in the symmetrized timeframe, and
+    C^(-1/2) sigma_x C^(1/2) in the plain one, whose operator is
+    C^(-1/2) U_sym C^(1/2).  With real boundary phases it maps U to
+    U^dagger in either frame, so (U + U^dagger)/2 has no matrix element
+    between the +1 and -1 spinors and (U - U^dagger)/2 only such elements.
+    """
+    sigma_x = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # columns: the +1, -1 spinors
+    half = np.zeros(config.n_sites)
+    if config.timeframe is Timeframe.PLAIN:
+        half = config.angles() / 2.0
+    c, s = np.cos(half), np.sin(half)
+    turn = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    return (turn @ sigma_x).transpose(2, 0, 1)  # turn = C^(-1/2) = R(-theta/2) per site
+
+
 def chiral_operator(n_sites: int) -> np.ndarray:
     """Block-diagonal sigma_x on every coin: swaps L_x and R_x."""
     if n_sites < 1:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from fibwalk.cli import build_parser, load_config, main
+from fibwalk.dynamics import BASIS_AVERAGE, mcd_series
+from fibwalk.sequence import CoinAngles, standard_word
+from fibwalk.walk import Timeframe, WalkConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +55,26 @@ def test_mcd_ballistic_value(tmp_path, capsys):
     assert lines[0] == "t,mcd"
     assert lines[1] == "0,0"
     assert lines[2] == "1,-2"
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--timeframe", "symmetrized", {"timeframe": Timeframe.SYMMETRIZED}),
+    ("--phase-left", "0.7", {"boundary_phase_left": complex(np.exp(0.7j))}),
+    ("--phase-right", "-1.2", {"boundary_phase_right": complex(np.exp(-1.2j))}),
+])
+def test_mcd_walk_flags_reach_the_walk(flag, value, field, tmp_path, capsys):
+    out_path = tmp_path / "mcd.csv"
+    code, _, _ = run(
+        capsys, "mcd", "--theta-a", "1.1", "--theta-b", "0.4", "--n", "34", "--steps", "12",
+        flag, value, "--output", str(out_path),
+    )
+    assert code == 0
+    rows = out_path.read_text().splitlines()[1:]
+    cfg = WalkConfig(34, CoinAngles(1.1, 0.4), standard_word(34), **field)
+    expected = mcd_series(cfg, 12, BASIS_AVERAGE)
+    assert [float(row.split(",")[1]) for row in rows] == expected.tolist()
+    sidecar = json.loads(Path(str(out_path) + ".meta.json").read_text())
+    assert sidecar[flag[2:].replace("-", "_")] == (float(value) if "phase" in flag else value)
 
 
 def test_mcd_rejects_boundary_contamination(tmp_path, capsys):

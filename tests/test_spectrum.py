@@ -5,15 +5,23 @@ from helpers import circle_multisets_close
 from fibwalk import spectrum
 from fibwalk.cli import main
 from fibwalk.errors import SolverConvergenceError
-from fibwalk.sequence import GOLDEN_RATIO_INV, CoinAngles, FibonacciWord, standard_word
+from fibwalk.sequence import (
+    GOLDEN_RATIO_INV,
+    CoinAngles,
+    FibonacciWord,
+    parse_termination,
+    standard_word,
+    word_for_termination,
+)
 from fibwalk.spectrum import (
     Gap,
+    QuasienergySpectrum,
     classify_edge_modes,
     find_gaps,
     gap_labels,
     quasienergies,
 )
-from fibwalk.walk import Timeframe, WalkConfig, build_unitary
+from fibwalk.walk import Timeframe, WalkConfig, build_unitary, chiral_frames
 
 
 def uniform_config(n, theta):
@@ -95,6 +103,106 @@ def test_complex_boundary_phases(timeframe, n, theta_a, theta_b):
     assert spec.max_residual < 1e-8
     gram = spec.states.conj().T @ spec.states
     assert np.max(np.abs(gram - np.eye(2 * n))) < 1e-10
+
+
+def dense_spectrum(config):
+    """Reference solve: one 2N x 2N eigh of H = (U + U^T)/2 for a real U.
+
+    Each cos E cluster is split by the skew part unless its sin E values
+    agree within the solver's SUBCLUSTER_TOLERANCE, and eigenvalues are
+    Rayleigh quotients of the dense U.
+    """
+    u = build_unitary(config).real
+    cos_e, basis = np.linalg.eigh((u + u.T) / 2.0)
+    anti = ((u - u.T) / 2.0) @ basis
+    vecs = basis.astype(complex)
+    splits = np.flatnonzero(np.diff(cos_e) > spectrum.CLUSTER_TOLERANCE) + 1
+    for lo, hi in zip(np.r_[0, splits], np.r_[splits, len(cos_e)]):
+        skew = -1j * basis[:, lo:hi].T @ anti[:, lo:hi]
+        sin_vals, rot = np.linalg.eigh((skew + skew.conj().T) / 2.0)
+        if sin_vals[-1] - sin_vals[0] > spectrum.SUBCLUSTER_TOLERANCE:
+            vecs[:, lo:hi] = basis[:, lo:hi] @ rot
+    energies = -np.angle(np.sum(vecs.conj() * (u @ vecs), axis=0))
+    energies[energies <= -np.pi] = np.pi
+    order = np.argsort(energies, kind="stable")
+    vecs = vecs[:, order]
+    m = spectrum._edge_sites(config.n_sites, None)
+    left, right = spectrum._boundary_masses(vecs, config.n_sites, m)
+    return QuasienergySpectrum(energies[order], vecs, left, right, config, m, 0.0)
+
+
+def edge_mode_set(spec):
+    modes = classify_edge_modes(spec, find_gaps(spec, 0.02))
+    return sorted((m.pinning, m.side) for m in modes), np.sort([m.energy for m in modes])
+
+
+def sector_configs(seed, timeframe, count):
+    rng = np.random.default_rng(seed)
+    terminations = ["standard", "ABA", "AAB", "BAA", "BAB", "phason:0.37", "phason:0.81"]
+    for k in range(count):
+        n = int(rng.integers(8, 120))
+        word = word_for_termination(n, parse_termination(terminations[k % len(terminations)]))
+        theta_a, theta_b = rng.uniform(-np.pi, np.pi, 2)
+        yield WalkConfig(
+            n, CoinAngles(float(theta_a), float(theta_b)), word,
+            boundary_phase_left=float(rng.choice([-1.0, 1.0])),
+            boundary_phase_right=float(rng.choice([-1.0, 1.0])),
+            timeframe=timeframe,
+        )
+
+
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_sector_solve_matches_a_dense_reference(timeframe):
+    for cfg in sector_configs(53, timeframe, 14):
+        spec = quasienergies(cfg)
+        reference = dense_spectrum(cfg)
+        gap = np.angle(np.exp(1j * (spec.energies - reference.energies)))
+        assert np.max(np.abs(gap)) < 1e-12
+        modes, mode_energies = edge_mode_set(spec)
+        ref_modes, ref_energies = edge_mode_set(reference)
+        assert modes == ref_modes
+        assert np.allclose(mode_energies, ref_energies, rtol=0.0, atol=1e-12)
+        assert spec.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_hamiltonian_has_no_off_sector_block(timeframe):
+    for cfg in sector_configs(59, timeframe, 6):
+        n = cfg.n_sites
+        u = build_unitary(cfg).real
+        frames = chiral_frames(cfg)
+        # Q's column s*N + x is site x's spinor of sector s, zero elsewhere.
+        q = np.zeros((2 * n, 2 * n))
+        for s in (0, 1):
+            q[0::2, s * n:(s + 1) * n] = np.diag(frames[s, :, 0])
+            q[1::2, s * n:(s + 1) * n] = np.diag(frames[s, :, 1])
+        h = q.T @ ((u + u.T) / 2.0) @ q
+        a = q.T @ ((u - u.T) / 2.0) @ q
+        assert np.max(np.abs(h[:n, n:])) < 1e-14
+        assert np.max(np.abs(a[:n, :n])) < 1e-14 and np.max(np.abs(a[n:, n:])) < 1e-14
+        h_plus, h_minus, a_pm = spectrum._sector_blocks(u, frames)
+        assert np.allclose(h_plus, h[:n, :n], rtol=0.0, atol=1e-14)
+        assert np.allclose(h_minus, h[n:, n:], rtol=0.0, atol=1e-14)
+        assert np.allclose(a_pm, a[:n, n:], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_complex_phases_take_the_single_full_solve(timeframe, monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a):
+        sizes.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    n = 34
+    quasienergies(WalkConfig(n, CoinAngles(1.1, 0.4), standard_word(n),
+                             boundary_phase_left=np.exp(0.3j), timeframe=timeframe))
+    assert sizes[0] == 2 * n
+    sizes.clear()
+    quasienergies(WalkConfig(n, CoinAngles(1.1, 0.4), standard_word(n), timeframe=timeframe))
+    assert sizes[:2] == [n, n] and max(sizes) == n
 
 
 def test_degenerate_zero_modes_stay_on_their_own_edges():

@@ -8,6 +8,7 @@ from fibwalk.walk import (
     WalkConfig,
     apply_step,
     build_unitary,
+    chiral_frames,
     chiral_operator,
     localized_state,
 )
@@ -164,3 +165,29 @@ def test_chiral_operator_properties():
     swapped = (g5 @ state).reshape(5, 2)
     assert np.allclose(swapped, state.reshape(5, 2)[:, ::-1])
 
+
+
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_chiral_frames_are_eigenvectors_of_the_chiral_operator(timeframe):
+    rng = np.random.default_rng(61)
+    for _ in range(4):
+        cfg = random_config(rng, timeframe=timeframe, phases=(-1.0, 1.0))
+        n = cfg.n_sites
+        gamma = chiral_operator(n)
+        if timeframe is Timeframe.PLAIN:
+            # U_plain = C^(-1/2) U_sym C^(1/2), so Gamma_plain = C^(-1/2) sigma_x C^(1/2).
+            half = np.zeros((2 * n, 2 * n))
+            c, s = np.cos(cfg.angles() / 2.0), np.sin(cfg.angles() / 2.0)
+            i = 2 * np.arange(n)
+            half[i, i], half[i, i + 1], half[i + 1, i], half[i + 1, i + 1] = c, s, -s, c
+            gamma = half.T @ gamma @ half
+        u = build_unitary(cfg)
+        assert np.max(np.abs(gamma @ u @ gamma - u.conj().T)) < 1e-12
+        frames = chiral_frames(cfg)
+        per_site = frames.transpose(1, 2, 0)  # columns: the +1 and -1 spinor
+        assert np.allclose(per_site.transpose(0, 2, 1) @ per_site, np.eye(2), atol=1e-15)
+        for s, sign in ((0, 1.0), (1, -1.0)):
+            for x in range(n):
+                v = np.zeros(2 * n)
+                v[2 * x:2 * x + 2] = frames[s, x]
+                assert np.allclose(gamma @ v, sign * v, atol=1e-14)
