@@ -262,10 +262,15 @@ def _write_sidecar(command: str, params: dict, results: dict) -> None:
 
 
 def _boundary_phase(params: dict, key: str) -> complex:
+    """exp(i angle); an angle that is a multiple of pi up to its rounding
+    gives exactly +-1, so --phase-left 3.141592653589793 is a real phase."""
     angle = params.get(key, 0.0)
     if not math.isfinite(angle):
         raise ValueError(f"{key} must be finite, got {angle!r}")
-    return complex(np.exp(1j * angle))
+    phase = complex(np.exp(1j * angle))
+    if abs(phase.imag) <= 2.0 * np.finfo(float).eps * max(1.0, abs(angle)):
+        return complex(math.copysign(1.0, phase.real))
+    return phase
 
 
 def _walk_config(params: dict) -> WalkConfig:

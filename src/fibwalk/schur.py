@@ -26,14 +26,25 @@ the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 Chains of one length are refined as one batch (winding_numbers; a single
 chain or function is a batch of one).  Each round concatenates the new
 contour points of every unfinished member, tagged with an owner index, and
-runs one backward pass over them.  Cut at their first reflectors, the
-members form one table; its trailing sites where every member has the
-same gamma -- letters[3:] for the four prefix terminations, the whole
-chain on theta_a = +-theta_b -- form a shared suffix whose steps run
-once per distinct point; only the members' own prefix steps run per
-(member, point).  Every point goes through the same floating-point
-operations as in a single-member call, and a pole, a missing reflection or
-an exhausted refinement ends only the member it belongs to.
+evaluates them in one pass.  A chain's first three sites are its head --
+the four prefix terminations differ only there -- and the sites after them,
+up to its first reflector, are its body.  In homogeneous form f = num/den
+a site multiplies (num, den) by M_n(z) = [[w, gamma_n], [gamma_n w, 1]]
+with w = z^s, so a body is a product of 2x2 matrices applied to (0, 1).
+Members with the same body share one grammar for it, built once: the most
+frequent adjacent pair of symbols is replaced by a new symbol, a rule,
+until no pair repeats (8-9 rules and 5-7 final symbols on a 230-site
+standard, prefix or phason word).  Each round evaluates every rule once
+per distinct point, with its z-derivative and rescaled by a power of two,
+and applies the final symbols; then each member's head steps per (member,
+point).  Head sites, and body sites with 1 - |gamma| < 1e-12 that are not
+the body's last, are stepped one at a time by the site recursion above,
+with its denominator floor, so a PoleOnContourError fires where the
+site-by-site recursion fires it.  Where a product, or its application,
+cancels more than 20 bits at a point, that point applies the rule's pair
+instead.  Every point goes through the same floating-point operations as
+in a single-member call, and a pole, a missing reflection or an exhausted
+refinement ends only the member it belongs to.
 
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
@@ -63,6 +74,10 @@ DEFAULT_MIN_MODULUS = 1e-8
 DEFAULT_MAX_REFINE_DEPTH = 20
 
 _DENOMINATOR_FLOOR = 1e-14
+_MIRROR_GAP = 1e-12  # 1 - |gamma| below this: the site is stepped alone
+_HEAD_SITES = 3  # the prefix terminations differ in these sites only
+_CHUNK = 1 << 14  # distinct points per pass over a body's rules
+_LOST_BITS = 20  # a product that cancels more is applied as its pair
 _RESIDUAL_GUARD = 0.01
 _MAX_CONTOUR_POINTS = 1 << 21
 
@@ -144,40 +159,211 @@ def _mobius(rows, owner, s, z, f, fp):
     return f, fp, pole
 
 
+def _site_matrix(g, w, dw):
+    """M = [[w, g], [g w, 1]] and dM/dz, stacked as a (2, 2, 2, K) array."""
+    m = np.zeros((2, 2, 2, w.size), dtype=np.complex128)
+    m[0, 0, 0], m[0, 0, 1], m[0, 1, 0], m[0, 1, 1] = w, g, g * w, 1.0
+    m[1, 0, 0], m[1, 1, 0] = dw, g * dw
+    return m
+
+
+def _product(x, y):
+    """x y for (2, 2, 2, K) stacks of matrices and their z-derivatives."""
+    xy = x[:, :, :1] * y[0, 0] + x[:, :, 1:] * y[0, 1]  # x y and x' y
+    xy[1] += x[0, :, :1] * y[1, 0] + x[0, :, 1:] * y[1, 1]
+    return xy
+
+
+def _matvec(m, v):
+    """m v for a (2, 2, 2, K) stack of matrices and (2, 2, K) vectors, each
+    with its z-derivative first along axis 0."""
+    mv = m[:, :, 0] * v[0, 0] + m[:, :, 1] * v[0, 1]  # m v and m' v
+    mv[1] += m[0, :, 0] * v[1, 0] + m[0, :, 1] * v[1, 1]
+    return mv
+
+
+def _normalize(a):
+    """Scale a in place, per point (last axis), by the power of two that
+    brings the largest real or imaginary part of a[0] into [0.5, 1).
+    Returns the exponent e with that part in [2^(e-1), 2^e) before.  The
+    scaling is exact, so no ratio of a's entries changes."""
+    k = a.shape[-1]
+    top = np.abs(a[0].view(np.float64).reshape(-1, 2 * k)).max(axis=0)
+    exponent = np.frexp(np.maximum(top[0::2], top[1::2]))[1]
+    a *= np.ldexp(1.0, -exponent)
+    return exponent
+
+
+def _ratio(v):
+    """(f, f') of a homogeneous (num, den) = v[0] with z-derivatives v[1]."""
+    (num, den), (dnum, dden) = v
+    return num / den, (dnum * den - num * dden) / (den * den)
+
+
+class _Body:
+    """The sites of a chain behind its head, as a grammar of block products.
+
+    In homogeneous form f = num / den, a site multiplies (num, den) by
+    M_n(z) = [[w, gamma_n], [gamma_n w, 1]], w = z^s, and the body's f is
+    the product of its sites' matrices applied to (0, 1).  The grammar is
+    built by repeatedly replacing the most frequent adjacent pair of
+    symbols (counted without overlaps, ties to the leftmost) by a new
+    symbol, a rule, until no pair repeats; each rule is the product of its
+    pair.  A site with 1 - |gamma| < _MIRROR_GAP that is not the body's
+    last is never merged: it is stepped alone by _mobius, with the
+    denominator floor checked.  No other site can reach the floor, since
+    |1 + gamma w f| >= 1 - |gamma| for |w f| <= 1.
+
+    A product is exact up to rounding relative to its factors' size, so
+    where the factors cancel it loses bits.  Each point counts the bits a
+    rule lost, and the bits applying it to (num, den) lost; where either
+    exceeds _LOST_BITS, the rule's pair is applied in its place, down to
+    single sites if need be.
+    """
+
+    def __init__(self, gammas: np.ndarray, first_column: int):
+        self.gammas, self.first_column = gammas, first_column
+        terminals: dict[float, int] = {}
+        seq = []
+        for k, g in enumerate(gammas):
+            if 1.0 - abs(g) < _MIRROR_GAP and k < len(gammas) - 1:
+                seq.append(-1)  # never merged
+            else:
+                seq.append(terminals.setdefault(float(g), len(terminals)))
+        self.values = list(terminals)
+        self.rules: list[tuple[int, int]] = []
+        while True:
+            counts: dict[tuple[int, int], int] = {}
+            last: dict[tuple[int, int], int] = {}
+            for i, pair in enumerate(zip(seq, seq[1:])):
+                if min(pair) < 0 or last.get(pair) == i - 1:
+                    continue
+                counts[pair] = counts.get(pair, 0) + 1
+                last[pair] = i
+            pair, count = max(counts.items(), key=lambda item: item[1], default=(None, 0))
+            if count < 2:
+                break
+            symbol = len(self.values) + len(self.rules)
+            self.rules.append(pair)
+            merged, i = [], 0
+            while i < len(seq):
+                if tuple(seq[i : i + 2]) == pair:
+                    merged.append(symbol)
+                    i += 2
+                else:
+                    merged.append(seq[i])
+                    i += 1
+            seq = merged
+        lengths = [1] * len(self.values)
+        for x, y in self.rules:
+            lengths.append(lengths[x] + lengths[y])
+        # right to left: a rule symbol, or a run of single sites lo:hi
+        self.steps: list[int | slice] = []
+        k = len(gammas)
+        for symbol in reversed(seq):
+            if symbol >= len(self.values):
+                self.steps.append(symbol)
+                k -= lengths[symbol]
+            elif self.steps and isinstance(self.steps[-1], slice):
+                k -= 1
+                self.steps[-1] = slice(k, self.steps[-1].stop)
+            else:
+                k -= 1
+                self.steps.append(slice(k, k + 1))
+
+    def __call__(self, z: np.ndarray, s: int):
+        """(f, f', pole) of the body at distinct points z, starting from
+        f = 0; pole is the column that hit the floor or -1."""
+        f = np.empty(z.size, dtype=np.complex128)
+        fp = np.empty(z.size, dtype=np.complex128)
+        pole = np.full(z.size, -1)
+        for lo in range(0, z.size, _CHUNK):
+            at = slice(lo, lo + _CHUNK)
+            f[at], fp[at], pole[at] = self._chunk(z[at], s)
+        return f, fp, pole
+
+    def _chunk(self, z, s):
+        w, dw = z**s, s * z ** (s - 1)
+        # each symbol's product with its derivative, and the bits it lost
+        exact = np.zeros(z.size, dtype=np.intc)
+        mats = [(_site_matrix(g, w, dw), exact) for g in self.values]
+        for x, y in self.rules:
+            m = _product(mats[x][0], mats[y][0])
+            lost = np.maximum(mats[x][1], mats[y][1]) - np.minimum(_normalize(m), 0)
+            mats.append((m, lost))
+        v = np.zeros((2, 2, z.size), dtype=np.complex128)
+        v[0, 1] = 1.0
+        pole = np.full(z.size, -1)
+        for step in self.steps:
+            if isinstance(step, slice):
+                f, fp, run_pole = _mobius(self.gammas[None, step], None, s, z, *_ratio(v))
+                pole = np.maximum(pole, np.where(run_pole >= 0, run_pole + step.start, -1))
+                v = np.zeros((2, 2, z.size), dtype=np.complex128)
+                v[0, 0], v[0, 1], v[1, 0] = f, 1.0, fp
+            else:
+                v = self._apply(mats, step, None, v)
+        return (*_ratio(v), np.where(pole >= 0, pole + self.first_column, -1))
+
+    def _apply(self, mats, symbol, at, v):
+        """Apply symbol's product to v, at the points at of the chunk (None:
+        all of them).  Where the product, or its application to v, lost
+        more than _LOST_BITS, the symbol's pair is applied instead."""
+        m, lost = mats[symbol]
+        if at is not None:
+            m, lost = np.take(m, at, axis=-1), lost[at]
+        out = _matvec(m, v)
+        lost = np.maximum(lost, -_normalize(out))
+        redo = np.flatnonzero(lost > _LOST_BITS) if symbol >= len(self.values) else []
+        if len(redo):
+            x, y = self.rules[symbol - len(self.values)]
+            where = redo if at is None else at[redo]
+            out[..., redo] = self._apply(mats, x, where, self._apply(mats, y, where, v[..., redo]))
+        return out
+
+
 def _chain_evaluator(chains: list[np.ndarray], s: int):
     """evaluate(z, owner) -> (f_0, f_0', errors) for chains of one length.
 
     Point k of z belongs to chain owner[k].  Each chain is cut at its first
-    reflector: the gammas behind it are set to 0 and the trailing sites
-    that are 0 in every chain are dropped, so every point starts from f = 0
-    at the end of one table.  Behind f = 0 a reflector step returns exactly
-    gamma (and f' = 0), so the cut chain has the value of the full one.
-    The trailing sites where every chain has the same gamma form the shared
-    suffix: its steps run once per distinct point; each chain's own prefix
-    steps then run per (chain, point).  errors maps each chain whose
-    denominator vanished at one of its points to a PoleOnContourError.
+    reflector: the gammas behind it are set to 0, and its trailing zeros
+    are dropped, so every chain starts from f = 0 at its last site.  Behind
+    f = 0 a reflector step returns exactly gamma (and f' = 0), so the cut
+    chain has the value of the full one.
+
+    A chain splits into its head, the first _HEAD_SITES sites, and its
+    body, the rest.  Chains with the same body share one _Body, which runs
+    once per distinct point, in chunks of at most _CHUNK points; each
+    chain's head is then stepped per (chain, point) by _mobius.  errors
+    maps each chain whose denominator vanished at one of its points to a
+    PoleOnContourError.
     """
     table = np.stack(chains)
     reflectors = np.abs(table) >= 1.0
     behind = np.cumsum(reflectors, axis=1) > reflectors  # past the first reflector
     table[behind] = 0.0
-    kept = np.flatnonzero(table.any(axis=0))
-    table = table[:, : int(kept[-1]) + 1 if kept.size else 0]
-    differs = np.flatnonzero((table != table[0]).any(axis=0))
-    split = int(differs[-1]) + 1 if differs.size else 0
+    heads = table[:, :_HEAD_SITES]
+    bodies: list[_Body] = []
+    index: dict[bytes, int] = {}
+    group = np.full(len(table), -1)  # member -> its body in bodies
+    for m, row in enumerate(table):
+        kept = np.flatnonzero(row)
+        body = row[_HEAD_SITES : int(kept[-1]) + 1 if kept.size else 0]
+        if body.size:
+            group[m] = index.setdefault(body.tobytes(), len(bodies))
+            if group[m] == len(bodies):
+                bodies.append(_Body(body, _HEAD_SITES))
 
     def evaluate(z, owner):
-        points, back = z, slice(None)
-        if len(table) > 1 and split < table.shape[1]:  # members share the suffix points
-            points, back = np.unique(z, return_inverse=True)
-        zeros = np.zeros(points.shape, dtype=np.complex128)
-        f, fp, pole = _mobius(
-            table[:1, split:], np.zeros(points.size, dtype=np.intp), s, points, zeros, zeros
-        )
-        f, fp, pole = f[back], fp[back], np.where(pole[back] >= 0, pole[back] + split, -1)
-        if split:
-            f, fp, head_pole = _mobius(table[:, :split], owner, s, z, f, fp)
-            pole = np.maximum(pole, head_pole)
+        f = np.zeros(z.size, dtype=np.complex128)
+        fp = np.zeros(z.size, dtype=np.complex128)
+        pole = np.full(z.size, -1)
+        for b, body in enumerate(bodies):
+            at = np.flatnonzero(group[owner] == b)
+            points, back = np.unique(z[at], return_inverse=True)  # members share points
+            bf, bfp, bpole = body(points, s)
+            f[at], fp[at], pole[at] = bf[back], bfp[back], bpole[back]
+        f, fp, head_pole = _mobius(heads, owner, s, z, f, fp)
+        pole = np.maximum(pole, head_pole)
         errors = {}
         failed = pole >= 0
         if failed.any():

@@ -77,6 +77,25 @@ def test_mcd_walk_flags_reach_the_walk(flag, value, field, tmp_path, capsys):
     assert sidecar[flag[2:].replace("-", "_")] == (float(value) if "phase" in flag else value)
 
 
+@pytest.mark.parametrize("angle, phase", [
+    ("3.141592653589793", -1.0), ("-3.141592653589793", -1.0), ("6.283185307179586", 1.0),
+])
+def test_a_phase_of_pi_is_exactly_real(angle, phase, tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def record(config, **kwargs):
+        seen.append(config)
+        raise ValueError("stop after the configuration")
+
+    monkeypatch.setattr("fibwalk.cli.quasienergies", record)
+    run(capsys, "spectrum", "--theta-a", "1.1", "--theta-b", "0.4", "--n", "13",
+        "--phase-left", angle, "--output", str(tmp_path / "s.csv"))
+    (config,) = seen
+    assert config.boundary_phase_left == phase
+    assert np.imag(config.boundary_phase_left) == 0.0
+    assert config.boundary_phase_right == 1.0
+
+
 def test_mcd_rejects_boundary_contamination(tmp_path, capsys):
     code, _, err = run(
         capsys, "mcd", "--theta-a", "0", "--theta-b", "0",

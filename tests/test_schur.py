@@ -9,6 +9,7 @@ from fibwalk.errors import (
 )
 from fibwalk.schur import (
     SchurParams,
+    _chain_evaluator,
     _eval_circle,
     reflection_params,
     schur_eval,
@@ -21,9 +22,12 @@ from fibwalk.schur import (
 from fibwalk.sequence import (
     DEFAULT_ENSEMBLE,
     CoinAngles,
+    Phason,
     PrefixOverride,
     Standard,
+    angles_for,
     phason_ensemble,
+    reflection_amplitudes,
     word_for_termination,
 )
 from fibwalk.walk import WalkConfig, apply_step, localized_state
@@ -122,6 +126,89 @@ def test_derivative_matches_central_difference(s):
     f_minus, _ = _eval_circle(gammas, s, z * np.exp(-1j * h))
     central = (f_plus - f_minus) / (z * np.exp(1j * h) - z * np.exp(-1j * h))
     assert np.max(np.abs(fp - central)) < 1e-6 * max(1.0, float(np.max(np.abs(fp))))
+
+
+def backward_recursion(gammas, s, z):
+    """(f_0, f_0') by the plain per-site Möbius loop, cut at the first mirror."""
+    mirrors = np.flatnonzero(np.abs(gammas) >= 1.0)
+    chain = gammas[: mirrors[0] + 1] if mirrors.size else gammas
+    w, dw = z**s, s * z ** (s - 1)
+    f = np.zeros(z.shape, dtype=np.complex128)
+    fp = np.zeros(z.shape, dtype=np.complex128)
+    for g in chain[::-1]:
+        den = 1.0 + g * w * f
+        f, fp = (g + w * f) / den, (dw * f + w * fp) * (1.0 - g * g) / den**2
+    return f, fp
+
+
+def _reference_chains(n):
+    coins = CoinAngles(1.0, 0.4)
+    chains = {
+        label: reflection_amplitudes(angles_for(word_for_termination(n, term), coins))
+        for label, term in (("standard", Standard()), ("AAB", PrefixOverride("AAB")),
+                            ("phason", Phason(0.37)))
+    }
+    chains["random"] = np.random.default_rng(n).uniform(-0.9, 0.9, n)
+    return chains
+
+
+@pytest.mark.parametrize("n", [89, 4181])
+@pytest.mark.parametrize("s", [1, 2])
+def test_block_products_match_the_backward_recursion(s, n):
+    # The contour is turned by half a sample, off w = +-1: there every site
+    # matrix of a real chain has the eigenvectors (1, +-1), and at z = 1 the
+    # reference loses f of the random 4181-site chain (0.16 off its 60-digit
+    # value, -1 + 2.7e-26).  Elsewhere both agree up to a shift of z by about
+    # 1e-13: |df| ~ |f'| dz and |df'| ~ |f''| dz ~ |f'|^2 dz.
+    z = np.concatenate([circle(1024) * np.exp(1j * np.pi / 1024), 0.9 * circle(64)])
+    for label, gammas in _reference_chains(n).items():
+        f_ref, fp_ref = backward_recursion(gammas, s, z)
+        f, fp = _eval_circle(gammas, s, z)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(fp)), label
+        assert schur_eval(SchurParams(gammas, steps_per_site=s), z).tobytes() == f.tobytes()
+        scale = 1.0 + np.abs(fp_ref)
+        assert np.max(np.abs(f - f_ref) / scale) < 1e-12, label
+        assert np.max(np.abs(fp - fp_ref) / scale**2) < 1e-9, label
+
+
+# Two contour points near w = -1 of 11x11 and 21x21 map cells where |gamma_B|
+# is 0.99 and |f'| reaches 1.6e6 and 1.2e9: there whole block products cancel
+# in up to 118 bits, and f was 22 and 0.1 away from the site recursion.
+CANCELLING_POINTS = [
+    ((0.29919930034188535, -2.9919930034188504), complex(-2.1066020324307172e-07, -0.9999999999999778)),
+    ((-2.9919930034188504, -1.7951958020513104), complex(-5.6913364925404845e-05, -0.9999999983804344)),
+]
+
+
+@pytest.mark.parametrize("cell, z", CANCELLING_POINTS)
+def test_cancelling_products_give_way_to_their_pairs(cell, z):
+    gammas = reflection_params(*cell, 233, PrefixOverride("ABA")).gammas
+    points = np.array([z])
+    f_ref, fp_ref = backward_recursion(gammas, 2, points)
+    f, _ = _eval_circle(gammas, 2, points)
+    assert abs(f[0] - f_ref[0]) < 1e-12 * (1.0 + abs(fp_ref[0]))
+
+
+def test_a_point_does_not_depend_on_the_points_beside_it():
+    # 2**14 + 7 points cross the boundary of the evaluation chunks.
+    z = np.exp(2j * np.pi * np.random.default_rng(89).uniform(size=2**14 + 7))
+    picks = np.array([0, 2**14 - 1, 2**14, 2**14 + 6])
+    chains = {**_reference_chains(4181), "random": _reference_chains(89)["random"]}
+    for gammas in chains.values():
+        f, fp = _eval_circle(gammas, 2, z)
+        for k in picks:
+            f1, fp1 = _eval_circle(gammas, 2, z[k : k + 1])
+            assert (f1.tobytes(), fp1.tobytes()) == (f[k : k + 1].tobytes(), fp[k : k + 1].tobytes())
+    # two members with one body: their points are merged before the body runs
+    coins = CoinAngles(1.0, 0.4)
+    chains = [reflection_amplitudes(angles_for(word_for_termination(4181, PrefixOverride(p)),
+                                               coins)) for p in ("ABA", "AAB")]
+    f, fp, errors = _chain_evaluator(chains, 2)(np.concatenate([z, z[::-1]]),
+                                                np.repeat([0, 1], z.size))
+    assert not errors
+    for m, member in enumerate((f[: z.size], f[z.size :][::-1])):
+        alone, _ = _eval_circle(chains[m], 2, z)
+        assert member.tobytes() == alone.tobytes()
 
 
 def test_oracle_examples():
