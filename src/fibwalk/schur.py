@@ -33,7 +33,7 @@ a site multiplies (num, den) by M_n(z) = [[w, gamma_n], [gamma_n w, 1]]
 with w = z^s, so a body is a product of 2x2 matrices applied to (0, 1).
 Members with the same body share one grammar for it, built once: the most
 frequent adjacent pair of symbols is replaced by a new symbol, a rule,
-until no pair repeats (8-9 rules and 5-7 final symbols on a 230-site
+until no pair repeats (8-9 rules and 5-8 final symbols on a 230-site
 standard, prefix or phason word).  Each round evaluates every rule once
 per distinct point, with its z-derivative and rescaled by a power of two,
 and applies the final symbols; then each member's head steps per (member,
@@ -221,8 +221,8 @@ class _Body:
     single sites if need be.
     """
 
-    def __init__(self, gammas: np.ndarray, first_column: int):
-        self.gammas, self.first_column = gammas, first_column
+    def __init__(self, gammas: np.ndarray):
+        self.gammas = gammas
         terminals: dict[float, int] = {}
         seq = []
         for k, g in enumerate(gammas):
@@ -302,7 +302,7 @@ class _Body:
                 v[0, 0], v[0, 1], v[1, 0] = f, 1.0, fp
             else:
                 v = self._apply(mats, step, None, v)
-        return (*_ratio(v), np.where(pole >= 0, pole + self.first_column, -1))
+        return (*_ratio(v), np.where(pole >= 0, pole + _HEAD_SITES, -1))
 
     def _apply(self, mats, symbol, at, v):
         """Apply symbol's product to v, at the points at of the chunk (None:
@@ -349,9 +349,11 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
         kept = np.flatnonzero(row)
         body = row[_HEAD_SITES : int(kept[-1]) + 1 if kept.size else 0]
         if body.size:
-            group[m] = index.setdefault(body.tobytes(), len(bodies))
-            if group[m] == len(bodies):
-                bodies.append(_Body(body, _HEAD_SITES))
+            key = body.tobytes()
+            if key not in index:
+                index[key] = len(bodies)
+                bodies.append(_Body(body))
+            group[m] = index[key]
 
     def evaluate(z, owner):
         f = np.zeros(z.size, dtype=np.complex128)

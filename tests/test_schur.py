@@ -171,9 +171,10 @@ def test_block_products_match_the_backward_recursion(s, n):
         assert np.max(np.abs(fp - fp_ref) / scale**2) < 1e-9, label
 
 
-# Two contour points near w = -1 of 11x11 and 21x21 map cells where |gamma_B|
-# is 0.99 and |f'| reaches 1.6e6 and 1.2e9: there whole block products cancel
-# in up to 118 bits, and f was 22 and 0.1 away from the site recursion.
+# Two contour points near w = -1 of 11x11 and 21x21 map cells where one
+# letter has |gamma| = 0.99 and |f'| is 1.6e6 and 1.2e9: whole block products
+# cancel in up to 118 bits there, and without the 20-bit gate f lands up to 22
+# away from the site recursion.
 CANCELLING_POINTS = [
     ((0.29919930034188535, -2.9919930034188504), complex(-2.1066020324307172e-07, -0.9999999999999778)),
     ((-2.9919930034188504, -1.7951958020513104), complex(-5.6913364925404845e-05, -0.9999999983804344)),
