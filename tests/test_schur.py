@@ -115,6 +115,16 @@ def test_pole_on_contour_error():
         winding_number(params)
 
 
+def test_pole_behind_the_head_names_its_step():
+    # The near-mirror site 3 is the body's first site: it is never merged
+    # into a block product and keeps the denominator floor.
+    params = SchurParams(gammas=np.array([0.1, 0.2, 0.3, 1.0 - 5e-15, 1.0]), steps_per_site=2)
+    with pytest.raises(PoleOnContourError, match="recursion step 3 "):
+        schur_eval(params, 1j)
+    with pytest.raises(PoleOnContourError, match="recursion step 3 "):
+        winding_number(params)
+
+
 @pytest.mark.parametrize("s", [1, 2])
 def test_derivative_matches_central_difference(s):
     rng = np.random.default_rng(20 + s)
