@@ -24,27 +24,31 @@ the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
 
 Chains of one length are refined as one batch (winding_numbers; a single
-chain or function is a batch of one).  Each round concatenates the new
-contour points of every unfinished member, tagged with an owner index, and
-evaluates them in one pass.  A chain's first three sites are its head --
-the four prefix terminations differ only there -- and the sites after them,
-up to its first reflector, are its body.  In homogeneous form f = num/den
-a site multiplies (num, den) by M_n(z) = [[w, gamma_n], [gamma_n w, 1]]
+chain or function is a batch of one), whatever their cells and
+terminations.  Each round evaluates, in one pass, the midpoints of every
+interval pending a split, tagged with an owner index; only the two halves
+of each split are tested next, and each member's contour is put in order
+once, at the end.  A chain's first three sites are its head -- the four
+prefix terminations differ only there -- and the sites after them, up to
+its first reflector, are its body.  In homogeneous form f = num/den a
+site multiplies (num, den) by M_n(z) = [[w, gamma_n], [gamma_n w, 1]]
 with w = z^s, so a body is a product of 2x2 matrices applied to (0, 1).
-Members with the same body share one grammar for it, built once: the most
-frequent adjacent pair of symbols is replaced by a new symbol, a rule,
-until no pair repeats (8-9 rules and 5-8 final symbols on a 230-site
-standard, prefix or phason word).  Each round evaluates every rule once
-per distinct point, with its z-derivative and rescaled by a power of two,
-and applies the final symbols; then each member's head steps per (member,
-point).  Head sites, and body sites with 1 - |gamma| < 1e-12 that are not
-the body's last, are stepped one at a time by the site recursion above,
-with its denominator floor, so a PoleOnContourError fires where the
-site-by-site recursion fires it.  Where a product, or its application,
-cancels more than 20 bits at a point, that point applies the rule's pair
-instead.  Every point goes through the same floating-point operations as
-in a single-member call, and a pole, a missing reflection or an exhausted
-refinement ends only the member it belongs to.
+Bodies with one skeleton -- the pattern in which their gammas repeat,
+which a word's letters fix whatever the coin angles -- share one grammar,
+built once: the most frequent adjacent pair of symbols is replaced by a
+new symbol, a rule, until no pair repeats (8-9 rules and 5-8 final
+symbols on a 230-site standard, prefix or phason word).  Each round
+evaluates every rule once per distinct (body, point) pair, with its
+z-derivative and rescaled by a power of two, and applies the final
+symbols; then each member's head steps per (member, point).  Head sites,
+and body sites with 1 - |gamma| < 1e-12 that are not the body's last, are
+stepped one at a time by the site recursion above, with its denominator
+floor, so a PoleOnContourError fires where the site-by-site recursion
+fires it.  Where a product, or its application, cancels more than 20 bits
+at a point, that point applies the rule's pair instead.  Every point goes
+through the same floating-point operations as in a single-member call,
+and a pole, a missing reflection or an exhausted refinement ends only the
+member it belongs to.
 
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
@@ -200,18 +204,35 @@ def _ratio(v):
     return num / den, (dnum * den - num * dden) / (den * den)
 
 
+def _skeleton(gammas: np.ndarray) -> tuple[int, ...]:
+    """Each site's terminal index, in order of first appearance of its
+    gamma, or -1 for a site with 1 - |gamma| < _MIRROR_GAP that is not the
+    last.  Bodies with one skeleton share one grammar."""
+    terminals: dict[float, int] = {}
+    seq = []
+    for k, g in enumerate(gammas):
+        if 1.0 - abs(g) < _MIRROR_GAP and k < len(gammas) - 1:
+            seq.append(-1)  # never merged
+        else:
+            seq.append(terminals.setdefault(float(g), len(terminals)))
+    return tuple(seq)
+
+
 class _Body:
-    """The sites of a chain behind its head, as a grammar of block products.
+    """Bodies of one skeleton -- the sites of a chain behind its head -- as
+    one grammar of block products.
 
     In homogeneous form f = num / den, a site multiplies (num, den) by
-    M_n(z) = [[w, gamma_n], [gamma_n w, 1]], w = z^s, and the body's f is
+    M_n(z) = [[w, gamma_n], [gamma_n w, 1]], w = z^s, and a body's f is
     the product of its sites' matrices applied to (0, 1).  The grammar is
-    built by repeatedly replacing the most frequent adjacent pair of
-    symbols (counted without overlaps, ties to the leftmost) by a new
-    symbol, a rule, until no pair repeats; each rule is the product of its
-    pair.  A site with 1 - |gamma| < _MIRROR_GAP that is not the body's
-    last is never merged: it is stepped alone by _mobius, with the
-    denominator floor checked.  No other site can reach the floor, since
+    built on the skeleton by repeatedly replacing the most frequent
+    adjacent pair of symbols (counted without overlaps, ties to the
+    leftmost) by a new symbol, a rule, until no pair repeats; each rule is
+    the product of its pair.  A symbol of the skeleton stands for one
+    terminal, whose gamma each body holds in its row of values.  A site
+    with 1 - |gamma| < _MIRROR_GAP that is not the body's last is never
+    merged: it is stepped alone by _mobius, with the denominator floor
+    checked.  No other site can reach the floor, since
     |1 + gamma w f| >= 1 - |gamma| for |w f| <= 1.
 
     A product is exact up to rounding relative to its factors' size, so
@@ -221,16 +242,12 @@ class _Body:
     single sites if need be.
     """
 
-    def __init__(self, gammas: np.ndarray):
-        self.gammas = gammas
-        terminals: dict[float, int] = {}
-        seq = []
-        for k, g in enumerate(gammas):
-            if 1.0 - abs(g) < _MIRROR_GAP and k < len(gammas) - 1:
-                seq.append(-1)  # never merged
-            else:
-                seq.append(terminals.setdefault(float(g), len(terminals)))
-        self.values = list(terminals)
+    def __init__(self, skeleton: tuple[int, ...], gammas: np.ndarray):
+        self.gammas = gammas  # one row per body
+        n_values = max(skeleton) + 1
+        # terminal t's gamma in body b at [t, b]
+        self.values = gammas[:, [skeleton.index(t) for t in range(n_values)]].T
+        seq = list(skeleton)
         self.rules: list[tuple[int, int]] = []
         while True:
             counts: dict[tuple[int, int], int] = {}
@@ -243,7 +260,7 @@ class _Body:
             pair, count = max(counts.items(), key=lambda item: item[1], default=(None, 0))
             if count < 2:
                 break
-            symbol = len(self.values) + len(self.rules)
+            symbol = n_values + len(self.rules)
             self.rules.append(pair)
             merged, i = [], 0
             while i < len(seq):
@@ -254,14 +271,14 @@ class _Body:
                     merged.append(seq[i])
                     i += 1
             seq = merged
-        lengths = [1] * len(self.values)
+        lengths = [1] * n_values
         for x, y in self.rules:
             lengths.append(lengths[x] + lengths[y])
         # right to left: a rule symbol, or a run of single sites lo:hi
         self.steps: list[int | slice] = []
-        k = len(gammas)
+        k = len(skeleton)
         for symbol in reversed(seq):
-            if symbol >= len(self.values):
+            if symbol >= n_values:
                 self.steps.append(symbol)
                 k -= lengths[symbol]
             elif self.steps and isinstance(self.steps[-1], slice):
@@ -271,22 +288,23 @@ class _Body:
                 k -= 1
                 self.steps.append(slice(k, k + 1))
 
-    def __call__(self, z: np.ndarray, s: int):
-        """(f, f', pole) of the body at distinct points z, starting from
-        f = 0; pole is the column that hit the floor or -1."""
+    def __call__(self, rows: np.ndarray, z: np.ndarray, s: int):
+        """(f, f', pole) of body rows[k] at z[k], starting from f = 0, for
+        distinct (row, point) pairs; pole is the column that hit the floor
+        or -1."""
         f = np.empty(z.size, dtype=np.complex128)
         fp = np.empty(z.size, dtype=np.complex128)
         pole = np.full(z.size, -1)
         for lo in range(0, z.size, _CHUNK):
             at = slice(lo, lo + _CHUNK)
-            f[at], fp[at], pole[at] = self._chunk(z[at], s)
+            f[at], fp[at], pole[at] = self._chunk(rows[at], z[at], s)
         return f, fp, pole
 
-    def _chunk(self, z, s):
+    def _chunk(self, rows, z, s):
         w, dw = z**s, s * z ** (s - 1)
         # each symbol's product with its derivative, and the bits it lost
         exact = np.zeros(z.size, dtype=np.intc)
-        mats = [(_site_matrix(g, w, dw), exact) for g in self.values]
+        mats = [(_site_matrix(g, w, dw), exact) for g in self.values[:, rows]]
         for x, y in self.rules:
             m = _product(mats[x][0], mats[y][0])
             lost = np.maximum(mats[x][1], mats[y][1]) - np.minimum(_normalize(m), 0)
@@ -296,7 +314,7 @@ class _Body:
         pole = np.full(z.size, -1)
         for step in self.steps:
             if isinstance(step, slice):
-                f, fp, run_pole = _mobius(self.gammas[None, step], None, s, z, *_ratio(v))
+                f, fp, run_pole = _mobius(self.gammas[:, step], rows, s, z, *_ratio(v))
                 pole = np.maximum(pole, np.where(run_pole >= 0, run_pole + step.start, -1))
                 v = np.zeros((2, 2, z.size), dtype=np.complex128)
                 v[0, 0], v[0, 1], v[1, 0] = f, 1.0, fp
@@ -321,6 +339,18 @@ class _Body:
         return out
 
 
+def _distinct(rows, z):
+    """(first, back): the indices of the distinct (rows[k], z[k]) pairs, and
+    each pair's index among them."""
+    order = np.lexsort((z.imag, z.real, rows))
+    rows, z = rows[order], z[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (z[1:] != z[:-1])
+    back = np.empty(order.size, dtype=np.intp)
+    back[order] = np.cumsum(new) - 1
+    return order[new], back
+
+
 def _chain_evaluator(chains: list[np.ndarray], s: int):
     """evaluate(z, owner) -> (f_0, f_0', errors) for chains of one length.
 
@@ -331,38 +361,49 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     chain has the value of the full one.
 
     A chain splits into its head, the first _HEAD_SITES sites, and its
-    body, the rest.  Chains with the same body share one _Body, which runs
-    once per distinct point, in chunks of at most _CHUNK points; each
-    chain's head is then stepped per (chain, point) by _mobius.  errors
-    maps each chain whose denominator vanished at one of its points to a
-    PoleOnContourError.
+    body, the rest.  Chains with equal bodies share one body, and bodies
+    with one skeleton share one _Body, whatever their gammas; each _Body
+    runs once per round over the distinct (body, point) pairs of all its
+    chains, in chunks of at most _CHUNK pairs.  Each chain's head is then
+    stepped per (chain, point) by _mobius.  errors maps each chain whose
+    denominator vanished at one of its points to a PoleOnContourError.
     """
     table = np.stack(chains)
     reflectors = np.abs(table) >= 1.0
     behind = np.cumsum(reflectors, axis=1) > reflectors  # past the first reflector
     table[behind] = 0.0
     heads = table[:, :_HEAD_SITES]
-    bodies: list[_Body] = []
-    index: dict[bytes, int] = {}
-    group = np.full(len(table), -1)  # member -> its body in bodies
-    for m, row in enumerate(table):
+    shapes: dict[tuple[int, ...], list[np.ndarray]] = {}  # skeleton -> its bodies
+    seen: dict[bytes, tuple[tuple[int, ...], int]] = {}
+    placed = []  # member -> (its skeleton, its body's row), or None
+    for row in table:
         kept = np.flatnonzero(row)
         body = row[_HEAD_SITES : int(kept[-1]) + 1 if kept.size else 0]
-        if body.size:
-            key = body.tobytes()
-            if key not in index:
-                index[key] = len(bodies)
-                bodies.append(_Body(body))
-            group[m] = index[key]
+        if not body.size:
+            placed.append(None)
+            continue
+        key = body.tobytes()
+        if key not in seen:
+            skeleton = _skeleton(body)
+            rows = shapes.setdefault(skeleton, [])
+            seen[key] = (skeleton, len(rows))
+            rows.append(body)
+        placed.append(seen[key])
+    skeletons = {skeleton: b for b, skeleton in enumerate(shapes)}
+    bodies = [_Body(skeleton, np.stack(rows)) for skeleton, rows in shapes.items()]
+    group = np.array([-1 if p is None else skeletons[p[0]] for p in placed])
+    body_row = np.array([0 if p is None else p[1] for p in placed])
 
     def evaluate(z, owner):
         f = np.zeros(z.size, dtype=np.complex128)
         fp = np.zeros(z.size, dtype=np.complex128)
         pole = np.full(z.size, -1)
+        groups = group[owner]
         for b, body in enumerate(bodies):
-            at = np.flatnonzero(group[owner] == b)
-            points, back = np.unique(z[at], return_inverse=True)  # members share points
-            bf, bfp, bpole = body(points, s)
+            at = np.flatnonzero(groups == b)
+            rows = body_row[owner[at]]
+            first, back = _distinct(rows, z[at])  # members share points
+            bf, bfp, bpole = body(rows[first], z[at][first], s)
             f[at], fp[at], pole[at] = bf[back], bfp[back], bpole[back]
         f, fp, head_pole = _mobius(heads, owner, s, z, f, fp)
         pole = np.maximum(pole, head_pole)
@@ -412,119 +453,129 @@ def _logd(fv, dfv):
         return np.where(mods > 0.0, np.abs(dfv) / mods, np.inf)
 
 
-class _Contour:
-    """Adaptive contour of one member: sample angles, f and |f'/f| there,
-    and the bisection depth of every interval."""
-
-    def __init__(self, samples: int, min_modulus: float, max_refine_depth: int):
-        if samples < 16:
-            raise ValueError(f"samples must be >= 16, got {samples}")
-        self.min_modulus = min_modulus
-        self.max_refine_depth = max_refine_depth
-        self.angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        self.fvals = None
-        self.exhausted = False
-        self.pending = self.angles  # angles whose f is needed next
-
-    def absorb(self, vals: np.ndarray, derivs: np.ndarray) -> None:
-        """Take f and f' at the pending angles into the contour."""
-        if self.fvals is None:
-            if np.max(np.abs(vals)) < self.min_modulus:
-                raise NoReflectionError(
-                    f"|f| < {self.min_modulus:g} on the whole contour; winding undefined"
-                )
-            ld_ring = _logd(vals, derivs)
-            self.angles = np.append(self.angles, 2.0 * np.pi)
-            self.fvals = np.append(vals, vals[0])
-            self.logd = np.append(ld_ring, ld_ring[0])
-            self.depth = np.zeros(len(self.angles) - 1, dtype=np.int64)
-            self.min_abs = float(np.min(np.abs(self.fvals)))
-            return
-        self.min_abs = min(self.min_abs, float(np.min(np.abs(vals))))
-        at = self.split_at + 1
-        self.angles = np.insert(self.angles, at, self.pending)
-        self.fvals = np.insert(self.fvals, at, vals)
-        self.logd = np.insert(self.logd, at, _logd(vals, derivs))
-        self.depth = np.repeat(np.where(self.splitting, self.depth + 1, self.depth),
-                               np.where(self.splitting, 2, 1))
-
-    def bisect(self) -> bool:
-        """Queue the midpoints of the intervals to split; False once done."""
-        mods = np.abs(self.fvals)
-        end_mods = np.minimum(mods[:-1], mods[1:])
-        increments = np.angle(self.fvals[1:] / self.fvals[:-1])
-        chords = np.abs(self.fvals[1:] - self.fvals[:-1])
-        spans = 2.0 * np.sin(np.diff(self.angles) / 2.0)  # |dz| across the interval
-        motion = spans * np.maximum(self.logd[:-1], self.logd[1:])
-        bad = (
-            (np.abs(increments) > np.pi / 2.0)
-            | (end_mods < self.min_modulus)
-            | (chords > 0.5 * end_mods)
-            | (motion > 1.0)
-        )
-        splittable = bad & (self.depth < self.max_refine_depth)
-        if not splittable.any():
-            self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
-            return False
-        if len(self.angles) + int(splittable.sum()) > _MAX_CONTOUR_POINTS:
-            self.exhausted = True
-            return False
-        self.splitting = splittable
-        self.split_at = np.flatnonzero(splittable)
-        self.pending = (self.angles[self.split_at] + self.angles[self.split_at + 1]) / 2.0
-        return True
-
-    def result(self) -> WindingResult:
-        raw = float(np.sum(np.angle(self.fvals[1:] / self.fvals[:-1])) / (2.0 * np.pi))
-        winding = round(raw)
-        ambiguous = (
-            self.exhausted
-            or self.min_abs < self.min_modulus
-            or abs(raw - winding) > _RESIDUAL_GUARD
-        )
-        return WindingResult(
-            winding=int(winding),
-            raw_phase_sum=raw,
-            min_abs_f=self.min_abs,
-            refine_depth_used=int(self.depth.max()),
-            ambiguous=bool(ambiguous),
-        )
+def _bad(la, ra, lf, rf, ll, rl, min_modulus):
+    """Whether each interval, from angle la to ra with f = lf, rf and
+    |f'/f| = ll, rl at its ends, is to be split (see winding_of_function)."""
+    end_mods = np.minimum(np.abs(lf), np.abs(rf))
+    increments = np.angle(rf / lf)
+    chords = np.abs(rf - lf)
+    spans = 2.0 * np.sin((ra - la) / 2.0)  # |dz| across the interval
+    motion = spans * np.maximum(ll, rl)
+    return (
+        (np.abs(increments) > np.pi / 2.0)
+        | (end_mods < min_modulus)
+        | (chords > 0.5 * end_mods)
+        | (motion > 1.0)
+    )
 
 
-def _refine(evaluate, contours: list[_Contour]) -> list[WindingResult | ComputationError]:
-    """Refine all contours together, one evaluate call per round.
+def _refine(evaluate, samples, min_modulus, max_depth) -> list[WindingResult | ComputationError]:
+    """Refine the contours of a batch of members together, one evaluate call
+    per round.
 
-    Each round concatenates the pending points of every unfinished member
-    with an owner index and passes them to evaluate(z, owner), which
-    returns (f, df/dz, errors) with errors mapping failed members to their
-    ComputationError.  A member that fails, has no reflection or finishes
-    leaves the batch; the others go on.  Returns one WindingResult or
-    ComputationError per contour.
+    Member m starts from samples[m] equally spaced angles on [0, 2 pi) and
+    closes its ring with a copy of the first at 2 pi.  Each round passes the
+    midpoints of every interval pending a split, with an owner index, to
+    evaluate(z, owner), which returns (f, df/dz, errors) with errors mapping
+    failed members to their ComputationError.  Only the two halves of each
+    split interval are tested: every interval a round creates has the
+    round's depth, and an interval that is not split never changes.  A
+    member that fails, has no reflection, runs out of depth or points, or
+    has nothing left to split leaves the batch; the others go on.  Each
+    member's contour is put in order once, at the end.  Returns one
+    WindingResult or ComputationError per member.
     """
-    results: list = [None] * len(contours)
-    active = list(range(len(contours)))
-    while active:
-        sizes = [contours[m].pending.size for m in active]
-        owner = np.repeat(active, sizes)
-        z = np.exp(1j * np.concatenate([contours[m].pending for m in active]))
-        f, df, errors = evaluate(z, owner)
-        bounds = np.cumsum([0] + sizes)
-        still = []
-        for m, lo, hi in zip(active, bounds[:-1], bounds[1:]):
-            contour = contours[m]
-            error = errors.get(m)
-            if error is None:
-                try:
-                    contour.absorb(f[lo:hi], df[lo:hi])
-                except NoReflectionError as exc:
-                    error = exc
-            if error is not None:
-                results[m] = error
-            elif contour.bisect():
-                still.append(m)
-            else:
-                results[m] = contour.result()
-        active = still
+    count = len(samples)
+    samples = np.asarray(samples)
+    min_modulus = np.asarray(min_modulus, dtype=np.float64)
+    max_depth = np.asarray(max_depth)
+    results: list = [None] * count
+    owner = np.repeat(np.arange(count), samples)
+    angles = np.concatenate([np.linspace(0.0, 2.0 * np.pi, m, endpoint=False) for m in samples])
+    f, df, errors = evaluate(np.exp(1j * angles), owner)
+    live = np.ones(count, dtype=bool)
+    for m, error in errors.items():
+        results[m], live[m] = error, False
+    first = np.cumsum(samples) - samples
+    silent = live & (np.maximum.reduceat(np.abs(f), first) < min_modulus)
+    for m in np.flatnonzero(silent):
+        results[m] = NoReflectionError(
+            f"|f| < {float(min_modulus[m]):g} on the whole contour; winding undefined"
+        )
+    live &= ~silent
+
+    # each live member's ring, closed by a copy of its first point at 2 pi
+    keep = live[owner]
+    owner, angles, f, df = owner[keep], angles[keep], f[keep], df[keep]
+    sizes = samples[live]
+    first = np.cumsum(sizes) - sizes
+    ends = first + sizes
+    logd = _logd(f, df)
+    owner = np.insert(owner, ends, np.flatnonzero(live))
+    angles = np.insert(angles, ends, 2.0 * np.pi)
+    f = np.insert(f, ends, f[first])
+    logd = np.insert(logd, ends, logd[first])
+    # the points, to be ordered by (owner, angle) at the end, 2 pi last
+    store = [(owner, np.where(angles < 2.0 * np.pi, angles, np.inf), f)]
+    # intervals: owner, and angle, f and |f'/f| at the left and right ends
+    left = np.flatnonzero(owner[:-1] == owner[1:])
+    iv = (owner[left], angles[left], angles[left + 1], f[left], f[left + 1],
+          logd[left], logd[left + 1])
+    points = samples + 1
+    exhausted = np.zeros(count, dtype=bool)
+    depth = np.zeros(count, dtype=np.int64)
+    level = 0
+    while True:
+        im = iv[0]
+        bad = _bad(*iv[1:], min_modulus[im])
+        final = level >= max_depth[im]
+        exhausted |= np.bincount(im[bad & final], minlength=count) > 0
+        splits = np.bincount(im[bad & ~final], minlength=count)
+        full = live & (points + splits > _MAX_CONTOUR_POINTS)
+        exhausted |= full
+        depth[live] = level
+        live &= (splits > 0) & ~full
+        if not live.any():
+            break
+        points += splits
+        go = bad & ~final & live[im]
+        im, la, ra, lf, rf, ll, rl = (a[go] for a in iv)
+        mid = (la + ra) / 2.0
+        mf, mdf, errors = evaluate(np.exp(1j * mid), im)
+        for m, error in errors.items():
+            results[m], live[m] = error, False
+        store.append((im, mid, mf))
+        keep = live[im]
+        im, la, ra, lf, rf, ll, rl, mid, mf, mdf = (
+            a[keep] for a in (im, la, ra, lf, rf, ll, rl, mid, mf, mdf))
+        ml = _logd(mf, mdf)
+        # the halves of each split interval, side by side in contour order
+        iv = tuple(np.stack((x, y), axis=1).ravel() for x, y in (
+            (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl)))
+        level += 1
+
+    owner, key, f = (np.concatenate(parts) for parts in zip(*store))
+    del store
+    f = f[np.lexsort((key, owner))]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=count))])
+    for m in range(count):
+        if results[m] is None:
+            fvals = f[bounds[m] : bounds[m + 1]]
+            raw = float(np.sum(np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
+            min_abs = float(np.min(np.abs(fvals)))
+            winding = round(raw)
+            ambiguous = (
+                exhausted[m]
+                or min_abs < min_modulus[m]
+                or abs(raw - winding) > _RESIDUAL_GUARD
+            )
+            results[m] = WindingResult(
+                winding=int(winding),
+                raw_phase_sum=raw,
+                min_abs_f=min_abs,
+                refine_depth_used=int(depth[m]),
+                ambiguous=bool(ambiguous),
+            )
     return results
 
 
@@ -563,15 +614,18 @@ def winding_of_function(
     minimum modulus stays below min_modulus, or the unwrapped total is not
     close to an integer.
     """
-    contour = _Contour(samples, min_modulus, max_refine_depth)
-    return _single(_refine(lambda z, owner: (*fn(z), {}), [contour]))
+    if samples < 16:
+        raise ValueError(f"samples must be >= 16, got {samples}")
+    evaluate = lambda z, owner: (*fn(z), {})  # noqa: E731
+    return _single(_refine(evaluate, [samples], [min_modulus], [max_refine_depth]))
 
 
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
     """Schur winding numbers of several chains, refined together.
 
     The members must share steps_per_site and the chain length; each keeps
-    its own contour settings.  Entry k is member k's WindingResult, or the
+    its own contour settings.  They may come from any cells and
+    terminations.  Entry k is member k's WindingResult, or the
     ComputationError that winding_number raises for it alone.
     """
     if len({(p.steps_per_site, p.gammas.size) for p in members}) != 1:
@@ -579,8 +633,12 @@ def winding_numbers(members: list[SchurParams]) -> list[WindingResult | Computat
     evaluate = _chain_evaluator(
         [p.gammas for p in members], members[0].steps_per_site
     )
-    contours = [_Contour(p.samples, p.min_modulus, p.max_refine_depth) for p in members]
-    return _refine(evaluate, contours)
+    return _refine(
+        evaluate,
+        [p.samples for p in members],
+        [p.min_modulus for p in members],
+        [p.max_refine_depth for p in members],
+    )
 
 
 def winding_number(params: SchurParams) -> WindingResult:

@@ -118,10 +118,10 @@ def test_mcd_rejects_empty_window(tmp_path, capsys):
 
 
 def test_mcd_map_rejects_empty_window_before_any_cell(tmp_path, capsys, monkeypatch):
-    def no_cells(*args, **kwargs):
+    def no_blocks(*args, **kwargs):
         raise AssertionError("cells evaluated despite an invalid window")
 
-    monkeypatch.setattr("fibwalk.sweep._run_cells", no_cells)
+    monkeypatch.setattr("fibwalk.sweep._run_blocks", no_blocks)
     out_path = tmp_path / "m.csv"
     code, _, err = run(
         capsys, "mcd-map", "--resolution", "2", "--n", "64", "--steps", "0",

@@ -8,9 +8,12 @@ from fibwalk.errors import (
     PoleOnContourError,
 )
 from fibwalk.schur import (
+    _RESIDUAL_GUARD,
     SchurParams,
+    WindingResult,
     _chain_evaluator,
     _eval_circle,
+    _logd,
     reflection_params,
     schur_eval,
     symmetry_point_values,
@@ -220,6 +223,17 @@ def test_a_point_does_not_depend_on_the_points_beside_it():
     for m, member in enumerate((f[: z.size], f[z.size :][::-1])):
         alone, _ = _eval_circle(chains[m], 2, z)
         assert member.tobytes() == alone.tobytes()
+    # two cells with one skeleton and different gammas share one grammar
+    word = word_for_termination(4181, Standard())
+    chains = [reflection_amplitudes(angles_for(word, CoinAngles(*cell)))
+              for cell in ((1.0, 0.4), (2.5, -1.0))]
+    f, fp, errors = _chain_evaluator(chains, 2)(np.concatenate([z, z[::-1]]),
+                                                np.repeat([0, 1], z.size))
+    assert not errors
+    for m, (member, member_fp) in enumerate(((f[: z.size], fp[: z.size]),
+                                             (f[z.size :][::-1], fp[z.size :][::-1]))):
+        alone, alone_fp = _eval_circle(chains[m], 2, z)
+        assert (member.tobytes(), member_fp.tobytes()) == (alone.tobytes(), alone_fp.tobytes())
 
 
 def test_oracle_examples():
@@ -374,6 +388,25 @@ def test_batched_windings_match_single_member_calls(case, s):
         assert [o[0] if isinstance(o[0], str) else "ok" for o in batched] == kinds
 
 
+# cells whose bodies have different skeletons: two letters, one letter
+# (theta_a = +-theta_b), mirrors, none reflecting, a pole
+CROSS_CELLS = [(1.0, 0.4), (0.8, 0.8), (0.8, -0.8), (0.0, 0.0), (np.pi / 2, np.pi / 2),
+               (1e-7, 0.0), (2.5, -1.0)]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_cells_batched_together_match_one_cell_calls(s):
+    cells = [(cell, DEFAULT_ENSEMBLE) for cell in CROSS_CELLS]
+    cells.append(((1.0, 0.4), phason_ensemble(3)))
+    per_cell = [[reflection_params(*cell, 89, t, steps_per_site=s, samples=256)
+                 for t in ensemble] for cell, ensemble in cells]
+    batched = [_outcome(r) for r in winding_numbers([p for members in per_cell for p in members])]
+    one_cell = [_outcome(r) for members in per_cell for r in winding_numbers(members)]
+    assert batched == one_cell
+    kinds = {o[0] for o in batched if isinstance(o[0], str)}
+    assert kinds == {"NoReflectionError", "PoleOnContourError"}
+
+
 def _mirrored_chains(n=60):
     """Equal-length chains on one base: a mirror at site 5, one at site 40, none."""
     base = np.random.default_rng(83).uniform(-0.9, 0.9, n)
@@ -406,6 +439,161 @@ def test_batch_members_must_share_the_recursion():
         winding_numbers([base, SchurParams(gammas=np.full(9, 0.5))])
     with pytest.raises(ValueError):
         winding_numbers([])
+
+
+class ReferenceContour:
+    """The adaptive contour of one member as a whole array, rebuilt by
+    insertion every round, with every interval re-tested: the plain form of
+    the refinement, kept as a reference for the batched one."""
+
+    def __init__(self, samples, min_modulus, max_refine_depth):
+        self.min_modulus = min_modulus
+        self.max_refine_depth = max_refine_depth
+        self.angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        self.fvals = None
+        self.exhausted = False
+        self.pending = self.angles
+
+    def absorb(self, vals, derivs):
+        if self.fvals is None:
+            if np.max(np.abs(vals)) < self.min_modulus:
+                raise NoReflectionError(
+                    f"|f| < {self.min_modulus:g} on the whole contour; winding undefined")
+            ld_ring = _logd(vals, derivs)
+            self.angles = np.append(self.angles, 2.0 * np.pi)
+            self.fvals = np.append(vals, vals[0])
+            self.logd = np.append(ld_ring, ld_ring[0])
+            self.depth = np.zeros(len(self.angles) - 1, dtype=np.int64)
+            self.min_abs = float(np.min(np.abs(self.fvals)))
+            return
+        self.min_abs = min(self.min_abs, float(np.min(np.abs(vals))))
+        at = self.split_at + 1
+        self.angles = np.insert(self.angles, at, self.pending)
+        self.fvals = np.insert(self.fvals, at, vals)
+        self.logd = np.insert(self.logd, at, _logd(vals, derivs))
+        self.depth = np.repeat(np.where(self.splitting, self.depth + 1, self.depth),
+                               np.where(self.splitting, 2, 1))
+
+    def bisect(self):
+        mods = np.abs(self.fvals)
+        end_mods = np.minimum(mods[:-1], mods[1:])
+        increments = np.angle(self.fvals[1:] / self.fvals[:-1])
+        chords = np.abs(self.fvals[1:] - self.fvals[:-1])
+        spans = 2.0 * np.sin(np.diff(self.angles) / 2.0)
+        motion = spans * np.maximum(self.logd[:-1], self.logd[1:])
+        bad = ((np.abs(increments) > np.pi / 2.0) | (end_mods < self.min_modulus)
+               | (chords > 0.5 * end_mods) | (motion > 1.0))
+        splittable = bad & (self.depth < self.max_refine_depth)
+        if not splittable.any():
+            self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
+            return False
+        if len(self.angles) + int(splittable.sum()) > 1 << 21:
+            self.exhausted = True
+            return False
+        self.splitting = splittable
+        self.split_at = np.flatnonzero(splittable)
+        self.pending = (self.angles[self.split_at] + self.angles[self.split_at + 1]) / 2.0
+        return True
+
+    def result(self):
+        raw = float(np.sum(np.angle(self.fvals[1:] / self.fvals[:-1])) / (2.0 * np.pi))
+        winding = round(raw)
+        ambiguous = (self.exhausted or self.min_abs < self.min_modulus
+                     or abs(raw - winding) > _RESIDUAL_GUARD)
+        return WindingResult(int(winding), raw, self.min_abs, int(self.depth.max()),
+                             bool(ambiguous))
+
+
+def reference_refine(evaluate, contours):
+    """Every unfinished contour's pending points through evaluate, round by round."""
+    results = [None] * len(contours)
+    active = list(range(len(contours)))
+    while active:
+        sizes = [contours[m].pending.size for m in active]
+        owner = np.repeat(active, sizes)
+        f, df, errors = evaluate(
+            np.exp(1j * np.concatenate([contours[m].pending for m in active])), owner)
+        bounds = np.cumsum([0] + sizes)
+        still = []
+        for m, lo, hi in zip(active, bounds[:-1], bounds[1:]):
+            error = errors.get(m)
+            if error is None:
+                try:
+                    contours[m].absorb(f[lo:hi], df[lo:hi])
+                except NoReflectionError as exc:
+                    error = exc
+            if error is not None:
+                results[m] = error
+            elif contours[m].bisect():
+                still.append(m)
+            else:
+                results[m] = contours[m].result()
+        active = still
+    return results
+
+
+def _reference_windings(members):
+    evaluate = _chain_evaluator([p.gammas for p in members], members[0].steps_per_site)
+    contours = [ReferenceContour(p.samples, p.min_modulus, p.max_refine_depth) for p in members]
+    return [_outcome(r) for r in reference_refine(evaluate, contours)]
+
+
+def _reference_batches():
+    """Named batches of members: the BATCH_CASES, random chains, and one
+    member each that exhausts its depth, dips below min_modulus and does not
+    reflect, beside a plain one."""
+    batches = {}
+    for case, (cell, ensemble, _) in BATCH_CASES.items():
+        for s in (1, 2):
+            batches[f"{case}-s{s}"] = [
+                reflection_params(*cell, 89, t, steps_per_site=s, samples=256) for t in ensemble]
+    rng = np.random.default_rng(97)
+    for s in (1, 2):
+        batches[f"random-s{s}"] = [
+            SchurParams(rng.uniform(-0.95, 0.95, 40), steps_per_site=s, samples=128)
+            for _ in range(4)]
+    generic = reflection_params(1.0, 0.4, 233, Standard()).gammas
+    batches["limits"] = [
+        SchurParams(generic, samples=512, max_refine_depth=2),
+        SchurParams(generic, samples=256, min_modulus=0.8, max_refine_depth=4),
+        SchurParams(np.zeros(generic.size)),
+        SchurParams(generic, samples=512),
+    ]
+    return batches
+
+
+REFERENCE_BATCHES = _reference_batches()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_BATCHES))
+def test_refinement_matches_the_whole_contour_reference(name):
+    batch = REFERENCE_BATCHES[name]
+    assert [_outcome(r) for r in winding_numbers(batch)] == _reference_windings(batch)
+
+
+def test_the_limit_cases_are_hit():
+    exhausted, thin, silent, plain = (_outcome(r)
+                                      for r in winding_numbers(REFERENCE_BATCHES["limits"]))
+    assert exhausted[3:] == (2, True) and plain[3] > 2
+    assert float.fromhex(thin[2]) < 0.8 and thin[4]
+    assert silent[0] == "NoReflectionError"
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_function_winding_matches_the_whole_contour_reference(k):
+    rng = np.random.default_rng(k)
+    roots = rng.uniform(0.5, 1.5, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+
+    def fn(z):
+        f = np.prod(z[:, None] - roots, axis=1) / 2.0**k
+        fp = f * np.sum(1.0 / (z[:, None] - roots), axis=1)
+        return f, fp
+
+    for depth in (2, 20):
+        (expected,) = reference_refine(lambda z, owner: (*fn(z), {}),
+                                       [ReferenceContour(64, 1e-8, depth)])
+        result = winding_of_function(fn, samples=64, max_refine_depth=depth)
+        assert _outcome(result) == _outcome(expected)
 
 
 @pytest.mark.xfail(

@@ -1,5 +1,4 @@
 import os
-from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +29,8 @@ from fibwalk.sweep import (
     STATUS_ERROR,
     STATUS_OK,
     _contour_settings,
-    _run_cells,
-    _winding_cell,
+    _run_blocks,
+    _winding_map,
     sweep_mcd,
     sweep_winding,
     sweep_winding_average,
@@ -216,22 +215,21 @@ def test_serial_and_parallel_averages_are_bitwise_identical(ensemble):
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_are_rejected_before_any_cell(workers):
-    def no_cell(cell):
-        raise AssertionError("a cell ran despite an invalid worker count")
+    def no_block(block):
+        raise AssertionError("a block ran despite an invalid worker count")
 
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        _run_cells(no_cell, [(0.0, 0.0), (1.0, 1.0)], workers)
+        _run_blocks(no_block, [(0.0, 0.0), (1.0, 1.0)], workers)
 
 @pytest.mark.slow
 def test_winding_plateaus_are_quantized_on_a_coarse_grid():
-    # Each cell is one batched winding_numbers call over the four
-    # terminations; member k's (value, status) is what sweep_winding gives
-    # for termination k.
+    # Each block is one batched winding_numbers call over the four
+    # terminations of its cells; member k's (value, status) is what
+    # sweep_winding gives for termination k.
     grid = GridSpec(resolution=21)
     words = [word_for_termination(DEFAULT_CUTOFF, t) for t in DEFAULT_ENSEMBLE]
     contour = _contour_settings(2, SWEEP_SAMPLES, DEFAULT_MIN_MODULUS, DEFAULT_MAX_REFINE_DEPTH)
-    cell_fn = partial(_winding_cell, words=words, reduce=list, **contour)
-    cells = _run_cells(cell_fn, grid.cells(), workers=min(4, os.cpu_count() or 1))
+    cells = _winding_map(grid, words, list, min(4, os.cpu_count() or 1), **contour)
     for k in range(len(DEFAULT_ENSEMBLE)):
         values = np.array([members[k][0] for members in cells]).reshape(21, 21)
         ok = np.array([members[k][1] == STATUS_OK for members in cells]).reshape(21, 21)
