@@ -616,8 +616,8 @@ def winding_of_function(
     """
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
-    evaluate = lambda z, owner: (*fn(z), {})  # noqa: E731
-    return _single(_refine(evaluate, [samples], [min_modulus], [max_refine_depth]))
+    return _single(_refine(
+        lambda z, owner: (*fn(z), {}), [samples], [min_modulus], [max_refine_depth]))
 
 
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
