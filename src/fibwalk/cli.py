@@ -426,9 +426,10 @@ def _run_mcd_map(params: dict) -> tuple[str, dict]:
 
 
 def _contour(params: dict) -> dict:
-    """The contour settings, as keywords of SchurParams and the winding sweeps."""
+    """The declared contour settings, as keywords of SchurParams and the
+    winding sweeps."""
     keys = ("steps_per_site", "samples", "min_modulus", "max_refine_depth")
-    return {key: params[key] for key in keys}
+    return {key: params[key] for key in keys if key in params}
 
 
 def _schur_params(params: dict) -> schur.SchurParams:
@@ -445,7 +446,7 @@ def _schur_params(params: dict) -> schur.SchurParams:
     P("n", int, schur.DEFAULT_CUTOFF,
       f"recursion cutoff: sites entering the Schur function (default: {schur.DEFAULT_CUTOFF})"),
     _TERMINATION,
-    *_contour_params(schur.DEFAULT_SAMPLES),
+    *_contour_params(schur.DEFAULT_SAMPLES)[:2],  # a trace refines nothing
     *_common_params("schur_trace.csv", "csv"),
 )
 def _run_schur_trace(params: dict) -> tuple[str, dict]:

@@ -11,14 +11,14 @@ and |R>.
 
 Every MCD runs one stepping loop over a (cells, runs, 2, N) stack: cells
 share the word, the boundary phases, the timeframe and the start site and
-differ only in their coin angles.  mcd_series is its one-cell case and
-steps the whole chain.  mcd_block_series steps a block of cells and only
-their light cone: at step t, only sites center - t .. center + t can be
-non-zero.  The stack is real when the boundary phases and the start
-spinors are real.  C(t) is taken per run with full-length reductions and
-the runs are added in run order, so every value is bitwise the one that
-stepping each run alone, as a complex (2, N) array through apply_step,
-gives, whatever the block.
+differ only in their coin angles.  mcd_block_series steps a block of
+cells, and mcd_series is its one-cell case.  Only the light cone is
+stepped: at step t, only sites center - t .. center + t can be non-zero.
+The stack is real when the boundary phases and the start spinors are
+real.  C(t) is taken per run with full-length reductions and the runs are
+added in run order, so every value is bitwise the one that stepping each
+run alone, as a complex (2, N) array through apply_step, gives, whatever
+the block.
 """
 
 from __future__ import annotations
@@ -59,22 +59,31 @@ def _coin_runs(coin_policy) -> list:
     return [coin_policy]
 
 
-def _series(stack: np.ndarray, advance, steps: int, runs: list) -> list:
+def _series(stack: np.ndarray, factors, timeframe, steps: int, runs: list) -> list:
     """C(t) for t = 0..steps per cell of a (cells, runs, 2, N) stack at t = 0.
 
-    advance(stack, t) returns the stack at step t.  A cell whose run norm
-    drifts from 1 by more than walk.NORM_TOLERANCE gets a ComputationError
-    naming its first drifting run and step instead of its series.
+    The stack starts at the center site and steps inside its light cone:
+    at step t only sites center - t .. center + t are stepped, with the
+    per-cell coin factors (cells, 1, N) of factors = (cos, sin, alpha_l,
+    alpha_r) sliced to match; every other site is still exactly 0.  A cell
+    whose run norm drifts from 1 by more than walk.NORM_TOLERANCE gets a
+    ComputationError naming its first drifting run and step instead of its
+    series.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     cells, _, _, n = stack.shape
-    x = np.arange(n, dtype=float) - n // 2
+    c, s, alpha_l, alpha_r = factors
+    center = n // 2
+    x = np.arange(n, dtype=float) - center
     disp = np.empty((steps + 1, cells, len(runs)))
     norm2 = np.empty_like(disp)
     for t in range(steps + 1):
         if t:
-            stack = advance(stack, t)
+            lo, hi = max(center - t, 0), min(center + t + 1, n)
+            stack[..., lo:hi] = walk.step_sites(
+                stack[..., lo:hi], c[..., lo:hi], s[..., lo:hi], alpha_l, alpha_r, timeframe
+            )
         prob = np.abs(stack) ** 2
         norm2[t] = prob.reshape(cells, len(runs), -1).sum(axis=-1)
         disp[t] = _displacement(x, prob)
@@ -100,38 +109,13 @@ def _series(stack: np.ndarray, advance, steps: int, runs: list) -> list:
 def mcd_series(config: WalkConfig, steps: int, coin_policy=BASIS_AVERAGE) -> np.ndarray:
     """C(t) for t = 0..steps from the lattice center, averaged over the coin policy.
 
-    Raises ComputationError when a run's norm drifts from 1 by more than
-    walk.NORM_TOLERANCE at any step.
+    The one-cell case of mcd_block_series.  Raises ComputationError when a
+    run's norm drifts from 1 by more than walk.NORM_TOLERANCE at any step.
     """
-    runs = _coin_runs(coin_policy)
-    stack = walk.localized_state(config, config.n_sites // 2, runs)
-    step = walk.stepper(config, stack.dtype)
-    [series] = _series(stack[None], lambda stack, t: step(stack), steps, runs)
+    [series] = mcd_block_series(config, [config.coins], steps, coin_policy)
     if isinstance(series, ComputationError):
         raise series
     return series
-
-
-def _light_cone(config: WalkConfig, coins: list[CoinAngles], dtype):
-    """advance(stack, t) for center-started cells, one per coin pair.
-
-    Only the sites that step t can reach are stepped, with the coin factors
-    sliced to match; every other site is still exactly 0.
-    """
-    factors = [walk.step_factors(replace(config, coins=pair), dtype) for pair in coins]
-    c = np.stack([f[0] for f in factors])[:, None]
-    s = np.stack([f[1] for f in factors])[:, None]
-    alpha_l, alpha_r = factors[0][2:]
-    n, center, timeframe = config.n_sites, config.n_sites // 2, config.timeframe
-
-    def advance(stack, t):
-        lo, hi = max(center - t, 0), min(center + t + 1, n)
-        stack[..., lo:hi] = walk.step_sites(
-            stack[..., lo:hi], c[..., lo:hi], s[..., lo:hi], alpha_l, alpha_r, timeframe
-        )
-        return stack
-
-    return advance
 
 
 def mcd_block_series(
@@ -146,7 +130,10 @@ def mcd_block_series(
     runs = _coin_runs(coin_policy)
     start = walk.localized_state(config, config.n_sites // 2, runs)
     stack = np.repeat(start[None], len(coins), axis=0)
-    return _series(stack, _light_cone(config, coins, stack.dtype), steps, runs)
+    factors = [walk.step_factors(replace(config, coins=pair), stack.dtype) for pair in coins]
+    c = np.stack([f[0] for f in factors])[:, None]
+    s = np.stack([f[1] for f in factors])[:, None]
+    return _series(stack, (c, s, *factors[0][2:]), config.timeframe, steps, runs)
 
 
 def series_average(series: np.ndarray, convention: str = "mean") -> float:

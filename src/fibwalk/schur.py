@@ -40,15 +40,16 @@ new symbol, a rule, until no pair repeats (8-9 rules and 5-8 final
 symbols on a 230-site standard, prefix or phason word).  Each round
 evaluates every rule once per distinct (body, point) pair, with its
 z-derivative and rescaled by a power of two, and applies the final
-symbols; then each member's head steps per (member, point).  Head sites,
-and body sites with 1 - |gamma| < 1e-12 that are not the body's last, are
-stepped one at a time by the site recursion above, with its denominator
-floor, so a PoleOnContourError fires where the site-by-site recursion
-fires it.  Where a product, or its application, cancels more than 20 bits
-at a point, that point applies the rule's pair instead.  Every point goes
-through the same floating-point operations as in a single-member call,
-and a pole, a missing reflection or an exhausted refinement ends only the
-member it belongs to.
+symbols; then each member's head steps per (member, point), and f =
+num/den is taken at the end.  Head sites, and body sites with 1 - |gamma|
+< 1e-12 that are not the body's last, step alone with the denominator
+floor checked: |den_n| < 1e-14 |den_{n+1}| is the recursion's
+|1 + gamma_n z^s f_{n+1}| < 1e-14, so a PoleOnContourError names the step
+the site-by-site recursion names.  Where a product, or its application,
+cancels more than 20 bits at a point, that point applies the rule's pair
+instead.  Every point goes through the same floating-point operations as
+in a single-member call, and a pole, a missing reflection or an exhausted
+refinement ends only the member it belongs to.
 
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
@@ -135,32 +136,9 @@ def reflection_params(
     return SchurParams(gammas=reflection_amplitudes(angles), **contour)
 
 
-def _mobius(rows, owner, s, z, f, fp):
-    """Backward Möbius steps at the points z, carrying the derivative along.
-
-    Point k follows row owner[k] of rows from its last column down to
-    column 0, starting from the values f[k] and fp[k].  Returns
-    (f, fp, pole) where pole[k] is the highest column whose denominator
-    fell below the floor at point k (-1 if none); such a point is NaN from
-    that step on, so only the member it belongs to is affected.
-    """
-    # d/dz of the Möbius step is (wf)' (1 - gamma^2) / den^2 with w = z^s.
-    w = z**s
-    dw = s * z ** (s - 1)
-    pole = np.full(z.shape, -1)
-    with np.errstate(invalid="ignore"):  # dividing by a NaN den
-        for n in range(rows.shape[1] - 1, -1, -1):
-            g = rows[0, n] if len(rows) == 1 else rows[owner, n]
-            wf = w * f
-            dwf = dw * f + w * fp
-            den = 1.0 + g * wf
-            tiny = np.abs(den) < _DENOMINATOR_FLOOR
-            if tiny.any():
-                pole[tiny] = n
-                den[tiny] = np.nan
-            f = (g + wf) / den
-            fp = dwf * (1.0 - g * g) / (den * den)
-    return f, fp, pole
+def _powers(z, s):
+    """w = z^s and dw/dz, s = 1 or 2 (numpy's z**1 is z, but slowly)."""
+    return (z, np.ones_like(z)) if s == 1 else (z * z, 2.0 * z)
 
 
 def _site_matrix(g, w, dw):
@@ -198,10 +176,31 @@ def _normalize(a):
     return exponent
 
 
+def _checked_step(g, w, dw, v, n, pole):
+    """Multiply v, (num, den) with its z-derivative as in _matvec, in place
+    by site n's M_n, where g is gamma_n at each point.
+
+    |den_n| < floor |den_{n+1}| is the Möbius step's |1 + g w f| < floor.
+    A point below it becomes NaN, and pole (updated in place) records the
+    highest step at which each point hit the floor.
+    """
+    (num, den), (dnum, dden) = v
+    floor = _DENOMINATOR_FLOOR * np.abs(den)
+    wn, dwn = w * num, dw * num + w * dnum  # w num and its z-derivative
+    num[:], dnum[:] = wn + g * den, dwn + g * dden
+    den += g * wn
+    dden += g * dwn
+    tiny = np.abs(den) < floor
+    if tiny.any():
+        pole[tiny] = n  # NaN from here on, so no lower step hits again
+        v[..., tiny] = np.nan
+
+
 def _ratio(v):
     """(f, f') of a homogeneous (num, den) = v[0] with z-derivatives v[1]."""
     (num, den), (dnum, dden) = v
-    return num / den, (dnum * den - num * dden) / (den * den)
+    with np.errstate(invalid="ignore"):  # a point past a pole is NaN
+        return num / den, (dnum * den - num * dden) / (den * den)
 
 
 def _skeleton(gammas: np.ndarray) -> tuple[int, ...]:
@@ -231,8 +230,8 @@ class _Body:
     the product of its pair.  A symbol of the skeleton stands for one
     terminal, whose gamma each body holds in its row of values.  A site
     with 1 - |gamma| < _MIRROR_GAP that is not the body's last is never
-    merged: it is stepped alone by _mobius, with the denominator floor
-    checked.  No other site can reach the floor, since
+    merged: it is stepped alone by _checked_step, with the denominator
+    floor checked.  No other site can reach the floor, since
     |1 + gamma w f| >= 1 - |gamma| for |w f| <= 1.
 
     A product is exact up to rounding relative to its factors' size, so
@@ -274,34 +273,28 @@ class _Body:
         lengths = [1] * n_values
         for x, y in self.rules:
             lengths.append(lengths[x] + lengths[y])
-        # right to left: a rule symbol, or a run of single sites lo:hi
-        self.steps: list[int | slice] = []
+        # right to left: each final symbol, -1 for a checked site, with its
+        # first site
+        self.steps: list[tuple[int, int]] = []
         k = len(skeleton)
         for symbol in reversed(seq):
-            if symbol >= n_values:
-                self.steps.append(symbol)
-                k -= lengths[symbol]
-            elif self.steps and isinstance(self.steps[-1], slice):
-                k -= 1
-                self.steps[-1] = slice(k, self.steps[-1].stop)
-            else:
-                k -= 1
-                self.steps.append(slice(k, k + 1))
+            k -= 1 if symbol < 0 else lengths[symbol]
+            self.steps.append((symbol, k))
 
     def __call__(self, rows: np.ndarray, z: np.ndarray, s: int):
-        """(f, f', pole) of body rows[k] at z[k], starting from f = 0, for
-        distinct (row, point) pairs; pole is the column that hit the floor
-        or -1."""
-        f = np.empty(z.size, dtype=np.complex128)
-        fp = np.empty(z.size, dtype=np.complex128)
+        """(v, pole) of body rows[k] at z[k], starting from (num, den) = (0, 1),
+        for distinct (row, point) pairs: v is (num, den) with its
+        z-derivative as a (2, 2, K) array, and pole the chain step that hit
+        the floor, or -1."""
+        v = np.empty((2, 2, z.size), dtype=np.complex128)
         pole = np.full(z.size, -1)
         for lo in range(0, z.size, _CHUNK):
             at = slice(lo, lo + _CHUNK)
-            f[at], fp[at], pole[at] = self._chunk(rows[at], z[at], s)
-        return f, fp, pole
+            v[..., at], pole[at] = self._chunk(rows[at], z[at], s)
+        return v, pole
 
     def _chunk(self, rows, z, s):
-        w, dw = z**s, s * z ** (s - 1)
+        w, dw = _powers(z, s)
         # each symbol's product with its derivative, and the bits it lost
         exact = np.zeros(z.size, dtype=np.intc)
         mats = [(_site_matrix(g, w, dw), exact) for g in self.values[:, rows]]
@@ -312,15 +305,13 @@ class _Body:
         v = np.zeros((2, 2, z.size), dtype=np.complex128)
         v[0, 1] = 1.0
         pole = np.full(z.size, -1)
-        for step in self.steps:
-            if isinstance(step, slice):
-                f, fp, run_pole = _mobius(self.gammas[:, step], rows, s, z, *_ratio(v))
-                pole = np.maximum(pole, np.where(run_pole >= 0, run_pole + step.start, -1))
-                v = np.zeros((2, 2, z.size), dtype=np.complex128)
-                v[0, 0], v[0, 1], v[1, 0] = f, 1.0, fp
+        for symbol, k in self.steps:
+            if symbol < 0:
+                _checked_step(self.gammas[rows, k], w, dw, v, k + _HEAD_SITES, pole)
+                _normalize(v)  # _apply's gate counts bits from a normalised v
             else:
-                v = self._apply(mats, step, None, v)
-        return (*_ratio(v), np.where(pole >= 0, pole + _HEAD_SITES, -1))
+                v = self._apply(mats, symbol, None, v)
+        return v, pole
 
     def _apply(self, mats, symbol, at, v):
         """Apply symbol's product to v, at the points at of the chunk (None:
@@ -364,8 +355,9 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     body, the rest.  Chains with equal bodies share one body, and bodies
     with one skeleton share one _Body, whatever their gammas; each _Body
     runs once per round over the distinct (body, point) pairs of all its
-    chains, in chunks of at most _CHUNK pairs.  Each chain's head is then
-    stepped per (chain, point) by _mobius.  errors maps each chain whose
+    chains, in chunks of at most _CHUNK pairs, and returns (num, den).
+    Each chain's head then steps per (chain, point) by _checked_step, and
+    f_0 = num/den is taken at the end.  errors maps each chain whose
     denominator vanished at one of its points to a PoleOnContourError.
     """
     table = np.stack(chains)
@@ -395,18 +387,22 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     body_row = np.array([0 if p is None else p[1] for p in placed])
 
     def evaluate(z, owner):
-        f = np.zeros(z.size, dtype=np.complex128)
-        fp = np.zeros(z.size, dtype=np.complex128)
+        w, dw = _powers(z, s)
+        v = np.zeros((2, 2, z.size), dtype=np.complex128)
+        v[0, 1] = 1.0
         pole = np.full(z.size, -1)
         groups = group[owner]
         for b, body in enumerate(bodies):
             at = np.flatnonzero(groups == b)
             rows = body_row[owner[at]]
             first, back = _distinct(rows, z[at])  # members share points
-            bf, bfp, bpole = body(rows[first], z[at][first], s)
-            f[at], fp[at], pole[at] = bf[back], bfp[back], bpole[back]
-        f, fp, head_pole = _mobius(heads, owner, s, z, f, fp)
-        pole = np.maximum(pole, head_pole)
+            bv, bpole = body(rows[first], z[at][first], s)
+            for out, part in zip(v.reshape(4, -1), bv.reshape(4, -1)):
+                out[at] = part[back]  # row by row: a 3-d scatter is 3x slower
+            pole[at] = bpole[back]
+        for n in range(heads.shape[1] - 1, -1, -1):
+            _checked_step(heads[owner, n], w, dw, v, n, pole)
+        f, fp = _ratio(v)
         errors = {}
         failed = pole >= 0
         if failed.any():

@@ -120,22 +120,17 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
-def _run_blocks(block_fn, cells, workers: int | None, max_block: int | None = None):
+def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     """block_fn over consecutive blocks of cells, its results joined in cell order.
 
-    block_fn maps a list of cells to a list of results.  Without max_block a
-    block holds len(cells) // (workers * 8) cells; with it, at most max_block
-    cells and at most a worker's share.  A block holds at least one cell.
+    block_fn maps a list of cells to a list of results.  A block holds at
+    most max_block cells and at most a worker's share, and at least one cell.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if max_block is None:
-        size = len(cells) // (workers * 8)
-    else:
-        size = min(max_block, -(-len(cells) // workers))
-    size = max(1, size)
+    size = max(1, min(max_block, -(-len(cells) // workers)))
     blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
     if workers <= 1 or len(blocks) < 2:
         return [result for block in blocks for result in block_fn(block)]

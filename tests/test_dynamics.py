@@ -263,12 +263,11 @@ def test_norm_drift_is_a_computation_error(monkeypatch, tmp_path, capsys):
 
 
 def test_norm_guard_names_the_drifting_run_and_step(monkeypatch):
-    stepper = walk.stepper
+    step_sites = walk.step_sites
 
-    def leaky_stepper(config, dtype):
-        step = stepper(config, dtype)
-        return lambda amps: step(amps) * np.array([1.0, 1.001])[:, None, None]
+    def leaky_step_sites(amps, *factors):
+        return step_sites(amps, *factors) * np.array([1.0, 1.001])[:, None, None]
 
-    monkeypatch.setattr(walk, "stepper", leaky_stepper)
+    monkeypatch.setattr(walk, "step_sites", leaky_step_sites)
     with pytest.raises(ComputationError, match=r"run 1 \(coin 'R'\) drifted by 0\.001 at step 1"):
         mcd_series(fib_config(64, 1.0, 0.3), 10)

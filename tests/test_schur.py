@@ -184,6 +184,18 @@ def test_block_products_match_the_backward_recursion(s, n):
         assert np.max(np.abs(fp - fp_ref) / scale**2) < 1e-9, label
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_uncovered_sites_keep_f_at_the_symmetry_points(s):
+    # No pair of this chain repeats, so no block product covers any of its
+    # sites.  A 60-digit evaluation of the Möbius recursion gives f = -1 at
+    # both w = 1 and w = -1 (-1 + 2.7e-26 at w = 1); a per-site Möbius loop
+    # in doubles lands 0.16 off at w = 1 and 3.4e-6 off at w = -1.
+    params = SchurParams(np.random.default_rng(4181).uniform(-0.9, 0.9, 4181), steps_per_site=s)
+    z = np.array([1.0, -1.0, 1j, -1j])
+    z = z[np.isin(z**s, [1.0, -1.0])]
+    assert np.max(np.abs(schur_eval(params, z) + 1.0)) < 1e-12
+
+
 # Two contour points near w = -1 of 11x11 and 21x21 map cells where one
 # letter has |gamma| = 0.99 and |f'| is 1.6e6 and 1.2e9: whole block products
 # cancel in up to 118 bits there, and without the 20-bit gate f lands up to 22

@@ -219,7 +219,7 @@ def test_workers_below_one_are_rejected_before_any_cell(workers):
         raise AssertionError("a block ran despite an invalid worker count")
 
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        _run_blocks(no_block, [(0.0, 0.0), (1.0, 1.0)], workers)
+        _run_blocks(no_block, [(0.0, 0.0), (1.0, 1.0)], workers, 1)
 
 @pytest.mark.slow
 def test_winding_plateaus_are_quantized_on_a_coarse_grid():
