@@ -42,7 +42,6 @@ from .sequence import (
     angles_for,
     apply_termination,
     cut_project_word,
-    fibonacci_number,
     generate_word,
     parse_termination,
     phason_ensemble,

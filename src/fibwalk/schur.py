@@ -23,33 +23,35 @@ One backward pass carries the derivative along with the value and returns
 the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
 
-Chains of one length are refined as one batch (winding_numbers; a single
-chain or function is a batch of one), whatever their cells and
-terminations.  Each round evaluates, in one pass, the midpoints of every
-interval pending a split, tagged with an owner index; only the two halves
-of each split are tested next, and each member's contour is put in order
-once, at the end.  A chain's first three sites are its head -- the four
-prefix terminations differ only there -- and the sites after them, up to
-its first reflector, are its body.  In homogeneous form f = num/den a
-site multiplies (num, den) by M_n(z) = [[w, gamma_n], [gamma_n w, 1]]
-with w = z^s, so a body is a product of 2x2 matrices applied to (0, 1).
-Bodies with one skeleton -- the pattern in which their gammas repeat,
-which a word's letters fix whatever the coin angles -- share one grammar,
-built once: the most frequent adjacent pair of symbols is replaced by a
-new symbol, a rule, until no pair repeats (8-9 rules and 5-8 final
-symbols on a 230-site standard, prefix or phason word).  Each round
-evaluates every rule once per distinct (body, point) pair, with its
-z-derivative and rescaled by a power of two, and applies the final
-symbols; then each member's head steps per (member, point), and f =
-num/den is taken at the end.  Head sites, and body sites with 1 - |gamma|
-< 1e-12 that are not the body's last, step alone with the denominator
-floor checked: |den_n| < 1e-14 |den_{n+1}| is the recursion's
-|1 + gamma_n z^s f_{n+1}| < 1e-14, so a PoleOnContourError names the step
-the site-by-site recursion names.  Where a product, or its application,
-cancels more than 20 bits at a point, that point applies the rule's pair
-instead.  Every point goes through the same floating-point operations as
-in a single-member call, and a pole, a missing reflection or an exhausted
-refinement ends only the member it belongs to.
+Chains of one length and one contour are refined as one batch
+(winding_numbers; a single chain or function is a batch of one),
+whatever their cells and terminations.  Every member starts from the
+same ring of samples, closed on its first point.  Each round evaluates,
+in one pass, the midpoints of every interval pending a split, tagged
+with an owner index; only the two halves of each split are tested next,
+and each member's contour is put in order once, at the end.  A chain's
+first three sites are its head -- the four prefix terminations differ
+only there -- and the sites after them, up to its first reflector, are
+its body.  In homogeneous form f = num/den a site multiplies (num, den)
+by M_n(z) = [[w, gamma_n], [gamma_n w, 1]] with w = z^s, so a body is a
+product of 2x2 matrices applied to (0, 1).  Bodies with one skeleton --
+the pattern in which their gammas repeat, which a word's letters fix
+whatever the coin angles -- share one grammar, built once: the most
+frequent adjacent pair of symbols is replaced by a new symbol, a rule,
+until no pair repeats (8-9 rules and 5-8 final symbols on a 230-site
+standard, prefix or phason word).  Each round evaluates every rule once
+per distinct (body, point) pair, with its z-derivative and rescaled by a
+power of two, and applies the final symbols; then each member's head
+steps per (member, point), and f = num/den is taken at the end.  Head
+sites, and body sites with 1 - |gamma| < 1e-12 that are not the body's
+last, step alone with the denominator floor checked: |den_n| < 1e-14
+|den_{n+1}| is the recursion's |1 + gamma_n z^s f_{n+1}| < 1e-14, so a
+PoleOnContourError names the step the site-by-site recursion names.
+Where a product, or its application, cancels more than 20 bits at a
+point, that point applies the rule's pair instead.  Every point goes
+through the same floating-point operations as in a single-member call,
+and a pole, a missing reflection or an exhausted refinement ends only
+the member it belongs to.
 
 The winding number is the count of zeros of f_0 inside the disk, computed
 two independent ways: phase unwrapping along the sampled contour with
@@ -130,7 +132,9 @@ def reflection_params(
     termination: Termination = Standard(),
     **contour,
 ) -> SchurParams:
-    """SchurParams of a terminated Fibonacci walk: gamma_n = cos(theta_n)."""
+    """SchurParams of a terminated Fibonacci walk: gamma_n = cos(theta_n),
+    whose derivation, and difference from the walk's own sin(theta_n), the
+    reflection_amplitudes docstring gives."""
     word = word_for_termination(n_sites, termination)
     angles = angles_for(word, CoinAngles(theta_a, theta_b))
     return SchurParams(gammas=reflection_amplitudes(angles), **contour)
@@ -228,7 +232,8 @@ class _Body:
     adjacent pair of symbols (counted without overlaps, ties to the
     leftmost) by a new symbol, a rule, until no pair repeats; each rule is
     the product of its pair.  A symbol of the skeleton stands for one
-    terminal, whose gamma each body holds in its row of values.  A site
+    terminal, whose gamma each body holds in its row of values; a terminal
+    that no rule uses has its site matrix built at its step only.  A site
     with 1 - |gamma| < _MIRROR_GAP that is not the body's last is never
     merged: it is stepped alone by _checked_step, with the denominator
     floor checked.  No other site can reach the floor, since
@@ -270,6 +275,8 @@ class _Body:
                     merged.append(seq[i])
                     i += 1
             seq = merged
+        # the terminals some rule uses; a chunk keeps only their matrices
+        self.kept = {x for pair in self.rules for x in pair if x < n_values}
         lengths = [1] * n_values
         for x, y in self.rules:
             lengths.append(lengths[x] + lengths[y])
@@ -295,13 +302,14 @@ class _Body:
 
     def _chunk(self, rows, z, s):
         w, dw = _powers(z, s)
-        # each symbol's product with its derivative, and the bits it lost
+        # each rule's product and each terminal a rule uses, with its
+        # derivative and the bits it lost
         exact = np.zeros(z.size, dtype=np.intc)
-        mats = [(_site_matrix(g, w, dw), exact) for g in self.values[:, rows]]
-        for x, y in self.rules:
+        mats = {t: (_site_matrix(self.values[t, rows], w, dw), exact) for t in self.kept}
+        for symbol, (x, y) in enumerate(self.rules, len(self.values)):
             m = _product(mats[x][0], mats[y][0])
             lost = np.maximum(mats[x][1], mats[y][1]) - np.minimum(_normalize(m), 0)
-            mats.append((m, lost))
+            mats[symbol] = (m, lost)
         v = np.zeros((2, 2, z.size), dtype=np.complex128)
         v[0, 1] = 1.0
         pole = np.full(z.size, -1)
@@ -309,8 +317,11 @@ class _Body:
             if symbol < 0:
                 _checked_step(self.gammas[rows, k], w, dw, v, k + _HEAD_SITES, pole)
                 _normalize(v)  # _apply's gate counts bits from a normalised v
-            else:
+            elif symbol in mats:
                 v = self._apply(mats, symbol, None, v)
+            else:  # a terminal no rule uses: its matrix lives for this step only
+                lone = {symbol: (_site_matrix(self.values[symbol, rows], w, dw), exact)}
+                v = self._apply(lone, symbol, None, v)
         return v, pole
 
     def _apply(self, mats, symbol, at, v):
@@ -465,76 +476,66 @@ def _bad(la, ra, lf, rf, ll, rl, min_modulus):
     )
 
 
-def _refine(evaluate, samples, min_modulus, max_depth) -> list[WindingResult | ComputationError]:
-    """Refine the contours of a batch of members together, one evaluate call
-    per round.
+def _refine(
+    evaluate, count, samples, min_modulus, max_depth
+) -> list[WindingResult | ComputationError]:
+    """Refine the contours of a batch of count members together, one
+    evaluate call per round.
 
-    Member m starts from samples[m] equally spaced angles on [0, 2 pi) and
-    closes its ring with a copy of the first at 2 pi.  Each round passes the
-    midpoints of every interval pending a split, with an owner index, to
-    evaluate(z, owner), which returns (f, df/dz, errors) with errors mapping
-    failed members to their ComputationError.  Only the two halves of each
-    split interval are tested: every interval a round creates has the
-    round's depth, and an interval that is not split never changes.  A
-    member that fails, has no reflection, runs out of depth or points, or
-    has nothing left to split leaves the batch; the others go on.  Each
-    member's contour is put in order once, at the end.  Returns one
-    WindingResult or ComputationError per member.
+    Every member starts from the same ring of samples equally spaced angles
+    on [0, 2 pi), and its last interval closes on its first point.  Each
+    round passes the midpoints of every interval pending a split, with an
+    owner index, to evaluate(z, owner), which returns (f, df/dz, errors)
+    with errors mapping failed members to their ComputationError.  Only the
+    two halves of each split interval are tested: every interval a round
+    creates has the round's depth, and an interval that is not split never
+    changes.  A member that fails, has no reflection, runs out of points or
+    has nothing left to split leaves the batch; the others go on, until
+    the depth reaches max_depth.  Each member's contour is put in order
+    once, at the end.  Returns one WindingResult or ComputationError per
+    member.
     """
-    count = len(samples)
-    samples = np.asarray(samples)
-    min_modulus = np.asarray(min_modulus, dtype=np.float64)
-    max_depth = np.asarray(max_depth)
     results: list = [None] * count
+    ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     owner = np.repeat(np.arange(count), samples)
-    angles = np.concatenate([np.linspace(0.0, 2.0 * np.pi, m, endpoint=False) for m in samples])
-    f, df, errors = evaluate(np.exp(1j * angles), owner)
+    f, df, errors = evaluate(np.tile(np.exp(1j * ring), count), owner)
     live = np.ones(count, dtype=bool)
     for m, error in errors.items():
         results[m], live[m] = error, False
-    first = np.cumsum(samples) - samples
-    silent = live & (np.maximum.reduceat(np.abs(f), first) < min_modulus)
+    f, df = f.reshape(count, samples), df.reshape(count, samples)
+    silent = live & (np.abs(f).max(axis=1) < min_modulus)
     for m in np.flatnonzero(silent):
         results[m] = NoReflectionError(
-            f"|f| < {float(min_modulus[m]):g} on the whole contour; winding undefined"
-        )
+            f"|f| < {float(min_modulus):g} on the whole contour; winding undefined")
     live &= ~silent
 
-    # each live member's ring, closed by a copy of its first point at 2 pi
-    keep = live[owner]
-    owner, angles, f, df = owner[keep], angles[keep], f[keep], df[keep]
-    sizes = samples[live]
-    first = np.cumsum(sizes) - sizes
-    ends = first + sizes
-    logd = _logd(f, df)
-    owner = np.insert(owner, ends, np.flatnonzero(live))
-    angles = np.insert(angles, ends, 2.0 * np.pi)
-    f = np.insert(f, ends, f[first])
-    logd = np.insert(logd, ends, logd[first])
-    # the points, to be ordered by (owner, angle) at the end, 2 pi last
-    store = [(owner, np.where(angles < 2.0 * np.pi, angles, np.inf), f)]
-    # intervals: owner, and angle, f and |f'/f| at the left and right ends
-    left = np.flatnonzero(owner[:-1] == owner[1:])
-    iv = (owner[left], angles[left], angles[left + 1], f[left], f[left + 1],
-          logd[left], logd[left + 1])
-    points = samples + 1
+    # each live member's ring, and its intervals: owner, and angle, f and
+    # |f'/f| at the left and right ends, the last one ending at 2 pi
+    kept = np.flatnonzero(live)
+    f, logd = f[kept], _logd(f[kept], df[kept])
+    owner, angles = np.repeat(kept, samples), np.tile(ring, kept.size)
+    store = [(owner, angles, f.ravel())]  # ordered by (owner, angle) at the end
+    iv = (owner, angles, np.tile(np.append(ring[1:], 2.0 * np.pi), kept.size), f.ravel(),
+          np.roll(f, -1, axis=1).ravel(), logd.ravel(), np.roll(logd, -1, axis=1).ravel())
+    points = np.full(count, samples + 1)  # each ring counts its closing point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
     level = 0
     while True:
         im = iv[0]
-        bad = _bad(*iv[1:], min_modulus[im])
-        final = level >= max_depth[im]
-        exhausted |= np.bincount(im[bad & final], minlength=count) > 0
-        splits = np.bincount(im[bad & ~final], minlength=count)
+        bad = _bad(*iv[1:], min_modulus)
+        depth[live] = level
+        if level >= max_depth:
+            exhausted[im[bad]] = True
+            break
+        splits = np.bincount(im[bad], minlength=count)
         full = live & (points + splits > _MAX_CONTOUR_POINTS)
         exhausted |= full
-        depth[live] = level
         live &= (splits > 0) & ~full
         if not live.any():
             break
         points += splits
-        go = bad & ~final & live[im]
+        go = bad & live[im]
         im, la, ra, lf, rf, ll, rl = (a[go] for a in iv)
         mid = (la + ra) / 2.0
         mf, mdf, errors = evaluate(np.exp(1j * mid), im)
@@ -550,19 +551,19 @@ def _refine(evaluate, samples, min_modulus, max_depth) -> list[WindingResult | C
             (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl)))
         level += 1
 
-    owner, key, f = (np.concatenate(parts) for parts in zip(*store))
+    owner, angles, f = (np.concatenate(parts) for parts in zip(*store))
     del store
-    f = f[np.lexsort((key, owner))]
+    f = f[np.lexsort((angles, owner))]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=count))])
     for m in range(count):
         if results[m] is None:
             fvals = f[bounds[m] : bounds[m + 1]]
-            raw = float(np.sum(np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
+            raw = float(np.sum(np.angle(np.roll(fvals, -1) / fvals)) / (2.0 * np.pi))
             min_abs = float(np.min(np.abs(fvals)))
             winding = round(raw)
             ambiguous = (
                 exhausted[m]
-                or min_abs < min_modulus[m]
+                or min_abs < min_modulus
                 or abs(raw - winding) > _RESIDUAL_GUARD
             )
             results[m] = WindingResult(
@@ -613,28 +614,25 @@ def winding_of_function(
     if samples < 16:
         raise ValueError(f"samples must be >= 16, got {samples}")
     return _single(_refine(
-        lambda z, owner: (*fn(z), {}), [samples], [min_modulus], [max_refine_depth]))
+        lambda z, owner: (*fn(z), {}), 1, samples, min_modulus, max_refine_depth))
 
 
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
     """Schur winding numbers of several chains, refined together.
 
-    The members must share steps_per_site and the chain length; each keeps
-    its own contour settings.  They may come from any cells and
-    terminations.  Entry k is member k's WindingResult, or the
-    ComputationError that winding_number raises for it alone.
+    The members must share steps_per_site, the chain length and one
+    contour: samples, min_modulus and max_refine_depth.  They may come from
+    any cells and terminations.  Entry k is member k's WindingResult, or
+    the ComputationError that winding_number raises for it alone.
     """
-    if len({(p.steps_per_site, p.gammas.size) for p in members}) != 1:
-        raise ValueError("a batch needs members of one steps_per_site and one chain length")
-    evaluate = _chain_evaluator(
-        [p.gammas for p in members], members[0].steps_per_site
-    )
-    return _refine(
-        evaluate,
-        [p.samples for p in members],
-        [p.min_modulus for p in members],
-        [p.max_refine_depth for p in members],
-    )
+    shared = {(p.steps_per_site, p.gammas.size, p.samples, p.min_modulus, p.max_refine_depth)
+              for p in members}
+    if len(shared) != 1:
+        raise ValueError("a batch needs members of one steps_per_site, one chain length "
+                         "and one contour")
+    ((s, _, samples, min_modulus, max_depth),) = shared
+    evaluate = _chain_evaluator([p.gammas for p in members], s)
+    return _refine(evaluate, len(members), samples, min_modulus, max_depth)
 
 
 def winding_number(params: SchurParams) -> WindingResult:

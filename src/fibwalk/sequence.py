@@ -26,16 +26,6 @@ MAX_SUBSTITUTION_ORDER = 30  # F_30 ~ 1.3e6 letters
 _SUBSTITUTION = str.maketrans({"A": "AB", "B": "A"})
 
 
-def fibonacci_number(order: int) -> int:
-    """Length of the order-th substitution word: 1, 2, 3, 5, 8, ..."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    a, b = 1, 2
-    for _ in range(order - 1):
-        a, b = b, a + b
-    return a
-
-
 def _check_letters(letters: str, context: str) -> None:
     if not letters:
         raise ValueError(f"{context}: empty letter string")
@@ -176,7 +166,19 @@ def angles_for(word: FibonacciWord, coins: CoinAngles) -> np.ndarray:
 
 
 def reflection_amplitudes(angles: np.ndarray) -> np.ndarray:
-    """Local reflection amplitudes gamma_n = cos(theta_n)."""
+    """Local reflection amplitudes gamma_n = cos(theta_n) of the Schur engine.
+
+    Under the walk's coin R(theta) = [[cos, sin], [-sin, cos]] on (L, R), a
+    walker that reaches site n moving right, (L, R) = (0, 1), leaves as
+    (sin theta_n, cos theta_n), and the shift carries L left and R right:
+    sin theta_n is reflected back toward the boundary, cos theta_n passes
+    on.  Out to site n and back costs two shifts, hence steps_per_site = 2.
+    So the walk's own boundary Schur function at |R, 0> has gamma_n =
+    sin theta_n; the test suite builds it from the moments of U and pins
+    the difference from cos theta_n as a strict xfail.  cos theta_n is the
+    reflection amplitude of the coin R(theta) sigma_x; it stays the Schur
+    engine's gamma until the convention is decided (ROADMAP item 1(c)).
+    """
     return np.cos(np.asarray(angles, dtype=np.float64))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,20 @@ def test_uncovered_sites_keep_f_at_the_symmetry_points(s):
     z = np.array([1.0, -1.0, 1j, -1j])
     z = z[np.isin(z**s, [1.0, -1.0])]
     assert np.max(np.abs(schur_eval(params, z) + 1.0)) < 1e-12
+
+
+def test_a_chunk_keeps_only_the_site_matrices_a_rule_uses():
+    # No pair of this chain repeats, so no rule uses any of its 4181
+    # terminals: each site matrix (128 B per point) lives for its step only.
+    params = SchurParams(np.random.default_rng(4181).uniform(-0.9, 0.9, 4181))
+    tracemalloc.start()
+    try:
+        f = schur_eval(params, circle(128))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.all(np.isfinite(f))
 
 
 # Two contour points near w = -1 of 11x11 and 21x21 map cells where one
@@ -450,6 +466,8 @@ def test_batch_members_must_share_the_recursion():
     with pytest.raises(ValueError):
         winding_numbers([base, SchurParams(gammas=np.full(9, 0.5))])
     with pytest.raises(ValueError):
+        winding_numbers([base, SchurParams(gammas=np.full(8, 0.5), samples=256)])
+    with pytest.raises(ValueError):
         winding_numbers([])
 
 
@@ -551,9 +569,10 @@ def _reference_windings(members):
 
 
 def _reference_batches():
-    """Named batches of members: the BATCH_CASES, random chains, and one
-    member each that exhausts its depth, dips below min_modulus and does not
-    reflect, beside a plain one."""
+    """Named batches of members: the BATCH_CASES, random chains, and three
+    batches of two that each share one contour: a member that exhausts its
+    depth, dips below min_modulus or refines plainly, beside one that leaves
+    the batch early."""
     batches = {}
     for case, (cell, ensemble, _) in BATCH_CASES.items():
         for s in (1, 2):
@@ -565,12 +584,15 @@ def _reference_batches():
             SchurParams(rng.uniform(-0.95, 0.95, 40), steps_per_site=s, samples=128)
             for _ in range(4)]
     generic = reflection_params(1.0, 0.4, 233, Standard()).gammas
-    batches["limits"] = [
-        SchurParams(generic, samples=512, max_refine_depth=2),
-        SchurParams(generic, samples=256, min_modulus=0.8, max_refine_depth=4),
-        SchurParams(np.zeros(generic.size)),
-        SchurParams(generic, samples=512),
-    ]
+    silent = np.zeros(generic.size)
+    # f = z^4 up to rounding: nothing to split on the first ring
+    settled = reflection_params(np.pi / 2, 0.0, 233, PrefixOverride("AAB")).gammas
+    for name, early, contour in (
+        ("exhausted", silent, dict(samples=512, max_refine_depth=2)),
+        ("thin", settled, dict(samples=256, min_modulus=0.8, max_refine_depth=4)),
+        ("plain", silent, dict(samples=512)),
+    ):
+        batches[f"limits-{name}"] = [SchurParams(g, **contour) for g in (generic, early)]
     return batches
 
 
@@ -584,11 +606,13 @@ def test_refinement_matches_the_whole_contour_reference(name):
 
 
 def test_the_limit_cases_are_hit():
-    exhausted, thin, silent, plain = (_outcome(r)
-                                      for r in winding_numbers(REFERENCE_BATCHES["limits"]))
+    (exhausted, silent), (thin, settled), (plain, _) = (
+        [_outcome(r) for r in winding_numbers(REFERENCE_BATCHES[f"limits-{name}"])]
+        for name in ("exhausted", "thin", "plain"))
     assert exhausted[3:] == (2, True) and plain[3] > 2
-    assert float.fromhex(thin[2]) < 0.8 and thin[4]
+    assert float.fromhex(thin[2]) < 0.8 and thin[3:] == (4, True)
     assert silent[0] == "NoReflectionError"
+    assert settled[0] == 4 and settled[3:] == (0, False)
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
