@@ -89,6 +89,15 @@ _RESIDUAL_GUARD = 0.01
 _MAX_CONTOUR_POINTS = 1 << 21
 
 
+def _check_contour(samples: int, min_modulus: float, max_refine_depth: int) -> None:
+    if not samples >= 16:
+        raise ValueError(f"samples must be >= 16, got {samples}")
+    if not min_modulus > 0.0:
+        raise ValueError(f"min_modulus must be > 0, got {min_modulus}")
+    if not max_refine_depth >= 0:
+        raise ValueError(f"max_refine_depth must be >= 0, got {max_refine_depth}")
+
+
 @dataclass(frozen=True)
 class SchurParams:
     """Reflection amplitudes (boundary first) plus contour settings."""
@@ -108,12 +117,7 @@ class SchurParams:
         object.__setattr__(self, "gammas", np.clip(g, -1.0, 1.0))
         if self.steps_per_site not in (1, 2):
             raise ValueError(f"steps_per_site must be 1 or 2, got {self.steps_per_site}")
-        if self.samples < 16:
-            raise ValueError(f"samples must be >= 16, got {self.samples}")
-        if not self.min_modulus > 0.0:
-            raise ValueError(f"min_modulus must be > 0, got {self.min_modulus}")
-        if self.max_refine_depth < 0:
-            raise ValueError(f"max_refine_depth must be >= 0, got {self.max_refine_depth}")
+        _check_contour(self.samples, self.min_modulus, self.max_refine_depth)
 
 
 @dataclass(frozen=True)
@@ -611,8 +615,7 @@ def winding_of_function(
     minimum modulus stays below min_modulus, or the unwrapped total is not
     close to an integer.
     """
-    if samples < 16:
-        raise ValueError(f"samples must be >= 16, got {samples}")
+    _check_contour(samples, min_modulus, max_refine_depth)
     return _single(_refine(
         lambda z, owner: (*fn(z), {}), 1, samples, min_modulus, max_refine_depth))
 

@@ -31,6 +31,7 @@ from .walk import WalkConfig, build_unitary, chiral_frames, stepper
 
 MAX_DENSE_SITES = 5000
 RESIDUAL_TOLERANCE = 1e-8
+RESIDUAL_BLOCK = 128  # states per step of the residual check: bounds its temporaries
 # cos E values closer than this share one joint-diagonalization cluster.
 # Near-degenerate pairs just outside the cluster would come out of eigh
 # with mixed eigenvectors (error ~ eps/gap) and break the 1e-8 residual
@@ -237,10 +238,10 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     u = build_unitary(config)
     if not np.isfinite(u).all():  # LAPACK may raise on NaN rather than return it
         _check_residual(math.nan, config)
-    if u.imag.any():
+    if np.iscomplexobj(u):
         eig = _Eigenbasis.full(u)
     else:
-        eig = _Eigenbasis.chiral(u.real, chiral_frames(config))
+        eig = _Eigenbasis.chiral(u, chiral_frames(config))
     del u
 
     # Joint eigenbasis: inside each degenerate cos E cluster, resolve by the
@@ -303,12 +304,15 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     vecs[slot[kept]] = eig.lift(order[kept])
     del eig
 
-    amps = vecs.reshape(2 * n, n, 2).transpose(0, 2, 1)  # one (2, N) walker per state
-    uv = stepper(config)(amps).transpose(0, 2, 1).reshape(2 * n, 2 * n)
-    uv -= vecs * lam[:, None]
-    flat = uv.view(np.float64)
-    max_residual = float(np.sqrt(np.einsum("ij,ij->i", flat, flat).max()))
-    del uv
+    # Residuals a block of states at a time, each state one (2, N) walker.
+    step, squares = stepper(config), np.empty(2 * n)
+    for lo in range(0, 2 * n, RESIDUAL_BLOCK):
+        rows = vecs[lo:lo + RESIDUAL_BLOCK]
+        uv = step(rows.reshape(-1, n, 2).transpose(0, 2, 1)).transpose(0, 2, 1).reshape(rows.shape)
+        uv -= rows * lam[lo:lo + RESIDUAL_BLOCK, None]
+        flat = uv.view(np.float64)
+        squares[lo:lo + len(rows)] = np.einsum("ij,ij->i", flat, flat)
+    max_residual = float(np.sqrt(squares.max()))
     _check_residual(max_residual, config)
 
     vecs = vecs.T  # column k holds the state of energies[k]

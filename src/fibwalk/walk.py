@@ -17,7 +17,8 @@ Two timeframes are provided.  PLAIN is U = S C and drives all dynamics and
 spectra; SYMMETRIZED is U = C^(1/2) S C^(1/2) (half-angle rotations), which
 satisfies the chiral relation Gamma U Gamma = U^dagger literally whenever
 the boundary phases are real.  The two operators are related by conjugation
-with C^(1/2) and have identical spectra.
+with C^(1/2) and have identical spectra.  The dense unitary is the step
+applied to each basis state, and is real when the boundary phases are.
 """
 
 from __future__ import annotations
@@ -178,54 +179,19 @@ def apply_step(amps: np.ndarray, config: WalkConfig) -> np.ndarray:
     return stepper(config, dtype)(amps.astype(dtype, copy=False))
 
 
-def _coin_matrix(angles: np.ndarray) -> np.ndarray:
-    n = len(angles)
-    c, s = np.cos(angles), np.sin(angles)
-    m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    i = 2 * np.arange(n)
-    m[i, i] = c
-    m[i, i + 1] = s
-    m[i + 1, i] = -s
-    m[i + 1, i + 1] = c
-    return m
-
-
-def _shift_rows(m: np.ndarray, alpha_l: complex, alpha_r: complex) -> np.ndarray:
-    # (S M)[sigma(k), :] = phase_k * M[k, :] with S having one entry per column.
-    n = m.shape[0] // 2
-    out = np.zeros_like(m)
-    left_src = 2 * np.arange(1, n)
-    out[left_src - 2] = m[left_src]
-    out[1] = alpha_l * m[0]
-    right_src = 2 * np.arange(0, n - 1) + 1
-    out[right_src + 2] = m[right_src]
-    out[2 * n - 2] = alpha_r * m[2 * n - 1]
-    return out
-
-
-def _coin_rows(angles: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # Left-multiply by the block-diagonal coin without a dense matmul.
-    n = len(angles)
-    c, s = np.cos(angles), np.sin(angles)
-    blocks = np.zeros((n, 2, 2), dtype=np.complex128)
-    blocks[:, 0, 0] = c
-    blocks[:, 0, 1] = s
-    blocks[:, 1, 0] = -s
-    blocks[:, 1, 1] = c
-    out = np.einsum("nab,nbd->nad", blocks, m.reshape(n, 2, m.shape[1]))
-    return out.reshape(m.shape)
-
-
 def build_unitary(config: WalkConfig) -> np.ndarray:
-    """Dense walk unitary of dimension 2*n_sites in the configured timeframe."""
+    """Dense walk unitary of dimension 2*n_sites: column k is the step of basis state k.
+
+    It is real when the boundary phases are real.
+    """
     if config.n_sites < 2:
         raise ValueError(f"build_unitary needs n_sites >= 2, got {config.n_sites}")
-    th = config.angles()
-    al, ar = config.boundary_phase_left, config.boundary_phase_right
-    if config.timeframe is Timeframe.PLAIN:
-        return _shift_rows(_coin_matrix(th), al, ar)
-    half = _coin_matrix(th / 2.0)
-    return _coin_rows(th / 2.0, _shift_rows(half, al, ar))
+    n = config.n_sites
+    dtype = np.float64 if _real_phases(config) else np.complex128
+    # basis[k] is state k as a (2, N) walker held with k fastest: the stepped
+    # stack, read as [x, coin, k], is U in row order without a copy.
+    basis = np.eye(2 * n, dtype=dtype).reshape(n, 2, 2 * n).transpose(2, 1, 0)
+    return stepper(config, dtype)(basis).transpose(2, 1, 0).reshape(2 * n, 2 * n)
 
 
 def chiral_frames(config: WalkConfig) -> np.ndarray:

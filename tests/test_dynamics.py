@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import dense_unitary
 
 from fibwalk import walk
 from fibwalk.cli import main
@@ -20,7 +21,6 @@ from fibwalk.walk import (
     Timeframe,
     WalkConfig,
     apply_step,
-    build_unitary,
     localized_state,
 )
 
@@ -80,7 +80,7 @@ def test_matrix_free_evolution_matches_dense_powers():
     for _ in range(5):
         n = int(rng.integers(8, 22))
         cfg = fib_config(n, float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(-np.pi, np.pi)))
-        u = build_unitary(cfg)
+        u = dense_unitary(cfg)
         psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         psi /= np.linalg.norm(psi)
         dense = psi.reshape(-1)
@@ -148,7 +148,7 @@ def test_plateau_value_near_minus_one():
 def test_single_step_average_against_dense_oracle():
     # T=1 average from the matrix-free path vs an explicit dense product.
     cfg = uniform_config(21, np.pi / 2)
-    u = build_unitary(cfg)
+    u = dense_unitary(cfg)
     x = np.arange(21) - 10
     expected = 0.0
     for coin_col in (0, 1):  # |L>, |R>

@@ -35,6 +35,12 @@ from fibwalk.sequence import (
     reflection_amplitudes,
     word_for_termination,
 )
+from fibwalk.spectrum import (
+    DEFAULT_MIN_GAP_WIDTH,
+    classify_edge_modes,
+    find_gaps,
+    quasienergies,
+)
 from fibwalk.walk import WalkConfig, apply_step, localized_state
 
 
@@ -103,6 +109,22 @@ def test_synthetic_monomials(k):
     result = winding_of_function(lambda z: (z**k, k * z ** (k - 1)), samples=256)
     assert result.winding == k
     assert not result.ambiguous
+
+
+@pytest.mark.parametrize("contour,message", [
+    ({"samples": 8}, "samples must be >= 16"),
+    ({"min_modulus": float("nan")}, "min_modulus must be > 0"),
+    ({"min_modulus": 0.0}, "min_modulus must be > 0"),
+    ({"max_refine_depth": -1}, "max_refine_depth must be >= 0"),
+    ({"max_refine_depth": float("nan")}, "max_refine_depth must be >= 0"),
+], ids=["few-samples", "nan-modulus", "zero-modulus", "negative-depth", "nan-depth"])
+def test_winding_of_function_checks_its_contour_like_schur_params(contour, message):
+    with pytest.raises(ValueError, match=message):
+        SchurParams(np.full(8, 0.5), **contour)
+    with pytest.raises(ValueError, match=message):
+        winding_of_function(lambda z: (z**2, 2 * z), **{"samples": 64, **contour})
+    with pytest.raises(ValueError, match=message):
+        winding_of_function(lambda z: (0 * z, 0 * z), **{"samples": 64, **contour})
 
 
 def test_no_reflection_error():
@@ -690,3 +712,55 @@ def test_reflection_params_match_the_walk_schur_function(theta_a, theta_b, termi
     f, _ = walk_schur_function(theta_a, theta_b, termination, z)
     expected = schur_eval(reflection_params(theta_a, theta_b, 233, termination), z)
     assert np.max(np.abs(f - expected)) < 1e-12
+
+
+POLE_POINTS = [(1.0, 0.4), (2.5, -1.0)]
+
+
+@pytest.fixture(scope="module")
+def left_edge_energies():
+    """Quasienergies of the left-edge modes at N = 610, per (theta_a, theta_b, termination)."""
+    energies = {}
+    for theta_a, theta_b in POLE_POINTS:
+        for termination in GAMMA_TERMINATIONS:
+            word = word_for_termination(610, termination)
+            spec = quasienergies(WalkConfig(610, CoinAngles(theta_a, theta_b), word))
+            modes = classify_edge_modes(spec, find_gaps(spec, DEFAULT_MIN_GAP_WIDTH))
+            energies[theta_a, theta_b, termination] = np.array(
+                [m.energy for m in modes if m.side == "left"])
+    return energies
+
+
+def worst_pole_miss(left_edge_energies, params_for):
+    """max |z f(z) - 1| over the left-edge modes, z = e^{iE}: each must be a pole of F."""
+    worst = 0.0
+    for (theta_a, theta_b, termination), energies in left_edge_energies.items():
+        assert energies.size > 0
+        z = np.exp(1j * energies)
+        f = schur_eval(params_for(theta_a, theta_b, termination), z)
+        worst = max(worst, float(np.max(np.abs(z * f - 1.0))))
+    return worst
+
+
+def test_walk_schur_function_has_a_pole_at_every_left_edge_mode(left_edge_energies):
+    # F = (1 + z f)/(1 - z f) has a pole at z = e^{iE} for each left-edge
+    # mode at quasienergy E; with gamma = sin(theta) over 987 sites every
+    # one of these modes at N = 610 is such a pole to about 1e-12.
+    def sine_params(theta_a, theta_b, termination):
+        word = word_for_termination(987, termination)
+        return SchurParams(np.sin(angles_for(word, CoinAngles(theta_a, theta_b))))
+
+    assert worst_pole_miss(left_edge_energies, sine_params) < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: reflection_params uses gamma_n = cos(theta_n); its f has "
+           "a pole at one left-edge mode per case, the pinned one, not at the others",
+)
+def test_reflection_params_have_a_pole_at_every_left_edge_mode(left_edge_energies):
+    def cosine_params(theta_a, theta_b, termination):
+        return reflection_params(theta_a, theta_b, 987, termination)
+
+    assert worst_pole_miss(left_edge_energies, cosine_params) < 1e-9

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import circle_multisets_close
+from helpers import circle_multisets_close, dense_unitary
 
 from fibwalk.sequence import CoinAngles, FibonacciWord, standard_word
 from fibwalk.walk import (
@@ -70,6 +70,20 @@ def test_build_unitary_real_for_real_phases():
     assert np.max(np.abs(build_unitary(cfg).imag)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "phases", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (np.exp(0.4j), np.exp(-1.1j))],
+    ids=["real", "minus-left", "minus-right", "complex"],
+)
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+def test_build_unitary_is_the_dense_coin_and_shift_product(timeframe, phases):
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        cfg = random_config(rng, timeframe=timeframe, phases=phases)
+        u = build_unitary(cfg)
+        assert u.dtype == (np.complex128 if np.iscomplexobj(phases) else np.float64)
+        assert np.max(np.abs(u - dense_unitary(cfg))) < 1e-14
+
+
 def test_build_unitary_needs_two_sites():
     with pytest.raises(ValueError):
         build_unitary(WalkConfig(1, CoinAngles(0.0, 0.0), uniform_word(1)))
@@ -107,7 +121,7 @@ def test_step_matches_dense_unitary(timeframe):
     for _ in range(10):
         cfg = random_config(rng, n=8, timeframe=timeframe)
         state = random_state(rng, 8)
-        dense = (build_unitary(cfg) @ state.reshape(-1)).reshape(8, 2)
+        dense = (dense_unitary(cfg) @ state.reshape(-1)).reshape(8, 2)
         free = apply_step(state.T, cfg).T
         assert np.max(np.abs(dense - free)) < 1e-12
 
