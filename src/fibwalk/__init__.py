@@ -21,6 +21,7 @@ from .errors import (
     SolverConvergenceError,
 )
 from .schur import (
+    Contour,
     SchurParams,
     WindingResult,
     reflection_params,

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -425,18 +425,16 @@ def _run_mcd_map(params: dict) -> tuple[str, dict]:
     return _finish_map(diagram, params)
 
 
-def _contour(params: dict) -> dict:
-    """The declared contour settings, as keywords of SchurParams and the
-    winding sweeps."""
-    keys = ("steps_per_site", "samples", "min_modulus", "max_refine_depth")
-    return {key: params[key] for key in keys if key in params}
+def _contour(params: dict) -> schur.Contour:
+    """The declared contour settings; an undeclared one keeps its default."""
+    return schur.Contour(**{f.name: params[f.name] for f in fields(schur.Contour)
+                            if f.name in params})
 
 
 def _schur_params(params: dict) -> schur.SchurParams:
     term = parse_termination(params["termination"])
-    return schur.reflection_params(
-        params["theta_a"], params["theta_b"], params["n"], term, **_contour(params)
-    )
+    return schur.reflection_params(params["theta_a"], params["theta_b"], params["n"], term,
+                                   params["steps_per_site"], _contour(params))
 
 
 @_command(
@@ -499,8 +497,8 @@ def _run_winding_map(params: dict) -> tuple[str, dict]:
         _grid(params),
         termination=parse_termination(params["termination"]),
         n_sites=params["n"],
+        steps_per_site=params["steps_per_site"], contour=_contour(params),
         workers=params["workers"],
-        **_contour(params),
     )
     return _finish_map(diagram, params)
 
@@ -529,8 +527,8 @@ def _run_winding_average(params: dict) -> tuple[str, dict]:
         _grid(params),
         ensemble=_parse_ensemble(params["ensemble"]),
         n_sites=params["n"],
+        steps_per_site=params["steps_per_site"], contour=_contour(params),
         workers=params["workers"],
-        **_contour(params),
     )
     return _finish_map(diagram, params)
 

@@ -23,13 +23,13 @@ One backward pass carries the derivative along with the value and returns
 the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
 
-Chains of one length and one contour are refined as one batch
+Chains of one steps_per_site and one Contour are refined as one batch
 (winding_numbers; a single chain or function is a batch of one),
-whatever their cells and terminations.  Every member starts from the
-same ring of samples, closed on its first point.  Each round evaluates,
-in one pass, the midpoints of every interval pending a split, tagged
-with an owner index; only the two halves of each split are tested next,
-and each member's contour is put in order once, at the end.  A chain's
+whatever their lengths, cells and terminations.  Every member starts
+from the same ring of samples, closed on its first point.  Each round
+evaluates, in one pass, the midpoints of every interval pending a split,
+tagged with an owner index; only the two halves of each split are tested
+next, and each member's contour is put in order once, at the end.  A chain's
 first three sites are its head -- the four prefix terminations differ
 only there -- and the sites after them, up to its first reflector, are
 its body.  In homogeneous form f = num/den a site multiplies (num, den)
@@ -61,6 +61,7 @@ numerator/denominator polynomials (winding_oracle, small systems only).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,24 +90,36 @@ _RESIDUAL_GUARD = 0.01
 _MAX_CONTOUR_POINTS = 1 << 21
 
 
-def _check_contour(samples: int, min_modulus: float, max_refine_depth: int) -> None:
-    if not samples >= 16:
-        raise ValueError(f"samples must be >= 16, got {samples}")
-    if not min_modulus > 0.0:
-        raise ValueError(f"min_modulus must be > 0, got {min_modulus}")
-    if not max_refine_depth >= 0:
-        raise ValueError(f"max_refine_depth must be >= 0, got {max_refine_depth}")
+@dataclass(frozen=True)
+class Contour:
+    """The contour a winding is refined on: a ring of samples equally spaced
+    points on the unit circle, the |f| floor min_modulus below which the
+    winding is ill-defined, and the bisection depth limit max_refine_depth."""
+
+    samples: int = DEFAULT_SAMPLES
+    min_modulus: float = DEFAULT_MIN_MODULUS
+    max_refine_depth: int = DEFAULT_MAX_REFINE_DEPTH
+
+    def __post_init__(self):
+        if not self.samples >= 16:
+            raise ValueError(f"samples must be >= 16, got {self.samples}")
+        if not self.min_modulus > 0.0:
+            raise ValueError(f"min_modulus must be > 0, got {self.min_modulus}")
+        if not self.max_refine_depth >= 0:
+            raise ValueError(f"max_refine_depth must be >= 0, got {self.max_refine_depth}")
+        for name in ("samples", "max_refine_depth"):
+            if not isinstance(getattr(self, name), numbers.Integral):  # numpy's too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
 class SchurParams:
-    """Reflection amplitudes (boundary first) plus contour settings."""
+    """Reflection amplitudes (boundary first), the powers of z per recursion
+    step, and the contour a winding is refined on."""
 
     gammas: np.ndarray
     steps_per_site: int = 2
-    samples: int = DEFAULT_SAMPLES
-    min_modulus: float = DEFAULT_MIN_MODULUS
-    max_refine_depth: int = DEFAULT_MAX_REFINE_DEPTH
+    contour: Contour = Contour()
 
     def __post_init__(self):
         g = np.asarray(self.gammas, dtype=np.float64)
@@ -117,7 +130,6 @@ class SchurParams:
         object.__setattr__(self, "gammas", np.clip(g, -1.0, 1.0))
         if self.steps_per_site not in (1, 2):
             raise ValueError(f"steps_per_site must be 1 or 2, got {self.steps_per_site}")
-        _check_contour(self.samples, self.min_modulus, self.max_refine_depth)
 
 
 @dataclass(frozen=True)
@@ -134,14 +146,15 @@ def reflection_params(
     theta_b: float,
     n_sites: int = DEFAULT_CUTOFF,
     termination: Termination = Standard(),
-    **contour,
+    steps_per_site: int = 2,
+    contour: Contour = Contour(),
 ) -> SchurParams:
     """SchurParams of a terminated Fibonacci walk: gamma_n = cos(theta_n),
     whose derivation, and difference from the walk's own sin(theta_n), the
     reflection_amplitudes docstring gives."""
     word = word_for_termination(n_sites, termination)
     angles = angles_for(word, CoinAngles(theta_a, theta_b))
-    return SchurParams(gammas=reflection_amplitudes(angles), **contour)
+    return SchurParams(reflection_amplitudes(angles), steps_per_site, contour)
 
 
 def _powers(z, s):
@@ -358,13 +371,13 @@ def _distinct(rows, z):
 
 
 def _chain_evaluator(chains: list[np.ndarray], s: int):
-    """evaluate(z, owner) -> (f_0, f_0', errors) for chains of one length.
+    """evaluate(z, owner) -> (f_0, f_0', errors) for chains of any lengths.
 
-    Point k of z belongs to chain owner[k].  Each chain is cut at its first
-    reflector: the gammas behind it are set to 0, and its trailing zeros
-    are dropped, so every chain starts from f = 0 at its last site.  Behind
-    f = 0 a reflector step returns exactly gamma (and f' = 0), so the cut
-    chain has the value of the full one.
+    Point k of z belongs to chain owner[k].  Each chain is padded with zeros
+    to the longest and cut at its first reflector: the gammas behind it are
+    set to 0, and its trailing zeros are dropped, so every chain starts from
+    f = 0 at its last site.  Behind f = 0 a reflector step returns exactly
+    gamma (and f' = 0), so the cut chain has the value of the full one.
 
     A chain splits into its head, the first _HEAD_SITES sites, and its
     body, the rest.  Chains with equal bodies share one body, and bodies
@@ -375,7 +388,8 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     f_0 = num/den is taken at the end.  errors maps each chain whose
     denominator vanished at one of its points to a PoleOnContourError.
     """
-    table = np.stack(chains)
+    n = max(chain.size for chain in chains)
+    table = np.stack([np.pad(chain, (0, n - chain.size)) for chain in chains])
     reflectors = np.abs(table) >= 1.0
     behind = np.cumsum(reflectors, axis=1) > reflectors  # past the first reflector
     table[behind] = 0.0
@@ -480,25 +494,24 @@ def _bad(la, ra, lf, rf, ll, rl, min_modulus):
     )
 
 
-def _refine(
-    evaluate, count, samples, min_modulus, max_depth
-) -> list[WindingResult | ComputationError]:
+def _refine(evaluate, count, contour: Contour) -> list[WindingResult | ComputationError]:
     """Refine the contours of a batch of count members together, one
     evaluate call per round.
 
-    Every member starts from the same ring of samples equally spaced angles
-    on [0, 2 pi), and its last interval closes on its first point.  Each
-    round passes the midpoints of every interval pending a split, with an
-    owner index, to evaluate(z, owner), which returns (f, df/dz, errors)
+    Every member starts from the same ring of contour.samples equally spaced
+    angles on [0, 2 pi), and its last interval closes on its first point.
+    Each round passes the midpoints of every interval pending a split, with
+    an owner index, to evaluate(z, owner), which returns (f, df/dz, errors)
     with errors mapping failed members to their ComputationError.  Only the
     two halves of each split interval are tested: every interval a round
     creates has the round's depth, and an interval that is not split never
     changes.  A member that fails, has no reflection, runs out of points or
-    has nothing left to split leaves the batch; the others go on, until
-    the depth reaches max_depth.  Each member's contour is put in order
-    once, at the end.  Returns one WindingResult or ComputationError per
-    member.
+    has nothing left to split leaves the batch; the others go on, until the
+    depth reaches contour.max_refine_depth.  Each member's contour is put in
+    order once, at the end.  Returns one WindingResult or ComputationError
+    per member.
     """
+    samples, min_modulus = contour.samples, contour.min_modulus
     results: list = [None] * count
     ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     owner = np.repeat(np.arange(count), samples)
@@ -529,7 +542,7 @@ def _refine(
         im = iv[0]
         bad = _bad(*iv[1:], min_modulus)
         depth[live] = level
-        if level >= max_depth:
+        if level >= contour.max_refine_depth:
             exhausted[im[bad]] = True
             break
         splits = np.bincount(im[bad], minlength=count)
@@ -587,22 +600,17 @@ def _single(results: list[WindingResult | ComputationError]) -> WindingResult:
     return result
 
 
-def winding_of_function(
-    fn,
-    samples: int = DEFAULT_SAMPLES,
-    min_modulus: float = DEFAULT_MIN_MODULUS,
-    max_refine_depth: int = DEFAULT_MAX_REFINE_DEPTH,
-) -> WindingResult:
+def winding_of_function(fn, contour: Contour = Contour()) -> WindingResult:
     """Winding of fn(z) around 0 as z runs over the unit circle.
 
     fn maps an array of contour points to the pair (f, df/dz), two complex
     arrays of the same shape.  Phase increments between neighbouring
-    samples are taken in (-pi, pi]; an interval is bisected (up to
-    max_refine_depth) when its increment exceeds pi/2, an endpoint modulus
-    drops below min_modulus, or the chord |f_{k+1} - f_k| is comparable to
-    the distance of the endpoints from the origin -- the last trigger
-    catches zeros near the contour, whose nearly full-turn phase jumps
-    would otherwise alias to small increments.
+    samples are taken in (-pi, pi]; an interval is bisected (up to the
+    contour's max_refine_depth) when its increment exceeds pi/2, an
+    endpoint modulus drops below min_modulus, or the chord |f_{k+1} - f_k|
+    is comparable to the distance of the endpoints from the origin -- the
+    last trigger catches zeros near the contour, whose nearly full-turn
+    phase jumps would otherwise alias to small increments.
 
     A zero just inside paired with a zero just outside the circle traces a
     tight loop around the origin that samples alone cannot see (the loop
@@ -615,27 +623,23 @@ def winding_of_function(
     minimum modulus stays below min_modulus, or the unwrapped total is not
     close to an integer.
     """
-    _check_contour(samples, min_modulus, max_refine_depth)
-    return _single(_refine(
-        lambda z, owner: (*fn(z), {}), 1, samples, min_modulus, max_refine_depth))
+    return _single(_refine(lambda z, owner: (*fn(z), {}), 1, contour))
 
 
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
     """Schur winding numbers of several chains, refined together.
 
-    The members must share steps_per_site, the chain length and one
-    contour: samples, min_modulus and max_refine_depth.  They may come from
-    any cells and terminations.  Entry k is member k's WindingResult, or
-    the ComputationError that winding_number raises for it alone.
+    The members must share steps_per_site and one Contour.  Their chains
+    may have any lengths and come from any cells and terminations.  Entry k
+    is member k's WindingResult, or the ComputationError that
+    winding_number raises for it alone.
     """
-    shared = {(p.steps_per_site, p.gammas.size, p.samples, p.min_modulus, p.max_refine_depth)
-              for p in members}
+    shared = {(p.steps_per_site, p.contour) for p in members}
     if len(shared) != 1:
-        raise ValueError("a batch needs members of one steps_per_site, one chain length "
-                         "and one contour")
-    ((s, _, samples, min_modulus, max_depth),) = shared
+        raise ValueError("a batch needs members of one steps_per_site and one contour")
+    ((s, contour),) = shared
     evaluate = _chain_evaluator([p.gammas for p in members], s)
-    return _refine(evaluate, len(members), samples, min_modulus, max_depth)
+    return _refine(evaluate, len(members), contour)
 
 
 def winding_number(params: SchurParams) -> WindingResult:

@@ -175,30 +175,21 @@ def _mean(members: list[tuple[float, str]]) -> tuple[float, str]:
     return (float(np.mean(values)) if values else float("nan")), status
 
 
-def _winding_block(cells, words, reduce, **contour):
+def _winding_block(words, reduce, steps_per_site, contour, cells):
     """(value, status) per cell: reduce over the cell's members, one per word."""
     members = [
         schur.SchurParams(
-            gammas=reflection_amplitudes(angles_for(word, CoinAngles(*cell))), **contour)
+            reflection_amplitudes(angles_for(word, CoinAngles(*cell))), steps_per_site, contour)
         for cell in cells for word in words
     ]
     pairs = [_member(result) for result in schur.winding_numbers(members)]
     return [reduce(pairs[i : i + len(words)]) for i in range(0, len(pairs), len(words))]
 
 
-def _winding_map(grid, words, reduce, workers, **contour):
+def _winding_map(grid, words, reduce, workers, steps_per_site, contour):
     """Per cell of grid, reduce over its members' (value, status) pairs."""
-    block_fn = partial(_winding_block, words=words, reduce=reduce, **contour)
+    block_fn = partial(_winding_block, words, reduce, steps_per_site, contour)
     return _run_blocks(block_fn, grid.cells(), workers, _WINDING_BLOCK_CELLS)
-
-
-def _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth):
-    return {
-        "steps_per_site": steps_per_site,
-        "samples": samples,
-        "min_modulus": min_modulus,
-        "max_refine_depth": max_refine_depth,
-    }
 
 
 def sweep_mcd(
@@ -227,15 +218,12 @@ def sweep_winding(
     termination: Termination = Standard(),
     n_sites: int = schur.DEFAULT_CUTOFF,
     steps_per_site: int = 2,
-    samples: int = schur.SWEEP_SAMPLES,
-    min_modulus: float = schur.DEFAULT_MIN_MODULUS,
-    max_refine_depth: int = schur.DEFAULT_MAX_REFINE_DEPTH,
+    contour: schur.Contour = schur.Contour(schur.SWEEP_SAMPLES),
     workers: int | None = 1,
 ) -> PhaseDiagram:
     """Schur winding number per grid cell for one surface termination."""
     word = word_for_termination(n_sites, termination)
-    contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
-    results = _winding_map(grid, [word], itemgetter(0), workers, **contour)
+    results = _winding_map(grid, [word], itemgetter(0), workers, steps_per_site, contour)
     return _diagram(grid, KIND_WINDING, termination_label(termination), results)
 
 
@@ -244,9 +232,7 @@ def sweep_winding_average(
     ensemble: tuple[Termination, ...] = DEFAULT_ENSEMBLE,
     n_sites: int = schur.DEFAULT_CUTOFF,
     steps_per_site: int = 2,
-    samples: int = schur.SWEEP_SAMPLES,
-    min_modulus: float = schur.DEFAULT_MIN_MODULUS,
-    max_refine_depth: int = schur.DEFAULT_MAX_REFINE_DEPTH,
+    contour: schur.Contour = schur.Contour(schur.SWEEP_SAMPLES),
     workers: int | None = 1,
 ) -> PhaseDiagram:
     """Mean winding number over a termination ensemble, per grid cell.
@@ -258,7 +244,6 @@ def sweep_winding_average(
     if not ensemble:
         raise ValueError("ensemble must contain at least one termination")
     words = [word_for_termination(n_sites, term) for term in ensemble]
-    contour = _contour_settings(steps_per_site, samples, min_modulus, max_refine_depth)
     label = "+".join(termination_label(term) for term in ensemble)
-    results = _winding_map(grid, words, _mean, workers, **contour)
+    results = _winding_map(grid, words, _mean, workers, steps_per_site, contour)
     return _diagram(grid, KIND_WINDING_AVERAGE, label, results)

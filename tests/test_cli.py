@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from fibwalk.cli import build_parser, load_config, main
 from fibwalk.dynamics import BASIS_AVERAGE, mcd_series
-from fibwalk.sequence import CoinAngles, standard_word
+from fibwalk.sequence import CoinAngles, cut_project_word, standard_word
 from fibwalk.walk import Timeframe, WalkConfig
 
 DATA = Path(__file__).parent / "data"
@@ -22,6 +25,18 @@ def test_word_subcommand_prints_the_word(capsys):
     code, out, _ = run(capsys, "word", "--order", "5")
     assert code == 0
     assert out.strip() == "ABAABABA"
+
+
+def test_word_length_mode_prints_the_cut_and_project_word(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, out, _ = run(capsys, "word", "--length", "8", "--phason", "0.25",
+                       "--output", str(first))
+    assert code == 0
+    assert out.strip() == "AABABAAB" == cut_project_word(8, 0.25).letters
+    code, again, _ = run(capsys, "word", "--config", str(first) + ".meta.json",
+                         "--output", str(second))
+    assert code == 0 and again == out
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_word_requires_exactly_one_size(capsys):
@@ -236,6 +251,7 @@ def test_config_rejects_boundary_contamination(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("theta_a", "west"), ("n", True), ("n", 2.0), ("degrees", 1), ("termination", 3),
+    ("format", "xml"),
 ])
 def test_config_type_checking(key, value, tmp_path, capsys):
     cfg = tmp_path / "c.json"
@@ -267,6 +283,31 @@ def test_config_int_beyond_the_float_range_exits_one_without_output(tmp_path, ca
     assert code == 1 and out == ""
     assert "config key 'theta_a'" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ("{theta_a: 1.0}", [], "is not valid JSON"),
+    ("[1.0, 0.4]", [], "must hold a flat JSON object"),
+    (None, ["--theta-b", "0.4"], "missing required parameter --theta-a"),
+], ids=["config-not-json", "config-list", "missing-theta-a"])
+def test_unusable_inputs_exit_one_without_output(config, argv, message, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "c.json").write_text(config)
+        argv = ["--config", str(tmp_path / "c.json")]
+    out_path = tmp_path / "w.json"
+    code, out, err = run(capsys, "winding", *argv, "--output", str(out_path))
+    assert code == 1 and out == ""
+    assert message in err
+    assert not out_path.exists()
+    assert not Path(str(out_path) + ".meta.json").exists()
+
+
+def test_no_subcommand_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys)
+    assert code == 1 and out == ""
+    assert "a subcommand is required" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file(capsys):
@@ -377,6 +418,21 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("fibwalk ")
+
+
+def _module_main(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "fibwalk", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_package_entry_point_passes_the_exit_code_on():
+    version = _module_main("--version")
+    assert version.returncode == 0
+    assert version.stdout == "fibwalk 0.1.0 (output format 1)\n"
+    bare = _module_main()
+    assert bare.returncode == 1
+    assert "a subcommand is required" in bare.stderr
 
 
 def test_help_golden_files(capsys):

@@ -11,6 +11,7 @@ from fibwalk.errors import (
 )
 from fibwalk.schur import (
     _RESIDUAL_GUARD,
+    Contour,
     SchurParams,
     WindingResult,
     _chain_evaluator,
@@ -106,25 +107,32 @@ def test_winding_quartet_at_the_flagship_point():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_synthetic_monomials(k):
-    result = winding_of_function(lambda z: (z**k, k * z ** (k - 1)), samples=256)
+    result = winding_of_function(lambda z: (z**k, k * z ** (k - 1)), Contour(256))
     assert result.winding == k
     assert not result.ambiguous
 
 
 @pytest.mark.parametrize("contour,message", [
     ({"samples": 8}, "samples must be >= 16"),
+    ({"samples": 64.5}, "samples must be an integer"),
     ({"min_modulus": float("nan")}, "min_modulus must be > 0"),
     ({"min_modulus": 0.0}, "min_modulus must be > 0"),
     ({"max_refine_depth": -1}, "max_refine_depth must be >= 0"),
     ({"max_refine_depth": float("nan")}, "max_refine_depth must be >= 0"),
-], ids=["few-samples", "nan-modulus", "zero-modulus", "negative-depth", "nan-depth"])
-def test_winding_of_function_checks_its_contour_like_schur_params(contour, message):
+    ({"max_refine_depth": 2.5}, "max_refine_depth must be an integer"),
+], ids=["few-samples", "fractional-samples", "nan-modulus", "zero-modulus",
+        "negative-depth", "nan-depth", "fractional-depth"])
+def test_contour_checks_its_settings(contour, message):
     with pytest.raises(ValueError, match=message):
-        SchurParams(np.full(8, 0.5), **contour)
-    with pytest.raises(ValueError, match=message):
-        winding_of_function(lambda z: (z**2, 2 * z), **{"samples": 64, **contour})
-    with pytest.raises(ValueError, match=message):
-        winding_of_function(lambda z: (0 * z, 0 * z), **{"samples": 64, **contour})
+        Contour(**contour)
+
+
+def test_contour_takes_numpy_integers():
+    gammas = np.random.default_rng(67).uniform(-0.95, 0.95, 40)
+    plain = winding_number(SchurParams(gammas, contour=Contour(64, max_refine_depth=2)))
+    numpy = Contour(np.int64(64), max_refine_depth=np.int32(2))
+    assert _outcome(winding_number(SchurParams(gammas, contour=numpy))) == _outcome(plain)
+    assert plain.refine_depth_used == 2
 
 
 def test_no_reflection_error():
@@ -356,8 +364,8 @@ def test_doubling_samples_preserves_unambiguous_winding():
     rng = np.random.default_rng(79)
     for _ in range(20):
         gammas = rng.uniform(-0.9, 0.9, int(rng.integers(2, 10)))
-        lo = winding_number(SchurParams(gammas=gammas, samples=256))
-        hi = winding_number(SchurParams(gammas=gammas, samples=512))
+        lo = winding_number(SchurParams(gammas=gammas, contour=Contour(256)))
+        hi = winding_number(SchurParams(gammas=gammas, contour=Contour(512)))
         if not lo.ambiguous:
             assert hi.winding == lo.winding
 
@@ -378,13 +386,13 @@ def test_param_validation():
     with pytest.raises(ValueError):
         SchurParams(gammas=np.array([1.2]))
     with pytest.raises(ValueError):
-        SchurParams(gammas=np.array([0.5]), samples=8)
+        Contour(samples=8)
     with pytest.raises(ValueError):
         SchurParams(gammas=np.array([0.5]), steps_per_site=3)
     with pytest.raises(ValueError):
-        SchurParams(gammas=np.array([0.5]), min_modulus=0.0)
+        Contour(min_modulus=0.0)
     with pytest.raises(ValueError, match="min_modulus"):
-        SchurParams(gammas=np.zeros(8), min_modulus=np.nan)
+        Contour(min_modulus=np.nan)
     with pytest.raises(ValueError, match="reflection amplitudes"):
         SchurParams(gammas=np.array([0.5, np.nan]))
     with pytest.raises(ValueError, match="only evaluated on"):
@@ -430,7 +438,7 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", list(BATCH_CASES))
 def test_batched_windings_match_single_member_calls(case, s):
     cell, ensemble, kinds = BATCH_CASES[case]
-    members = [reflection_params(*cell, 89, t, steps_per_site=s, samples=256)
+    members = [reflection_params(*cell, 89, t, steps_per_site=s, contour=Contour(256))
                for t in ensemble]
     batched = [_outcome(r) for r in winding_numbers(members)]
     assert batched == [_alone(p) for p in members]
@@ -448,7 +456,7 @@ CROSS_CELLS = [(1.0, 0.4), (0.8, 0.8), (0.8, -0.8), (0.0, 0.0), (np.pi / 2, np.p
 def test_cells_batched_together_match_one_cell_calls(s):
     cells = [(cell, DEFAULT_ENSEMBLE) for cell in CROSS_CELLS]
     cells.append(((1.0, 0.4), phason_ensemble(3)))
-    per_cell = [[reflection_params(*cell, 89, t, steps_per_site=s, samples=256)
+    per_cell = [[reflection_params(*cell, 89, t, steps_per_site=s, contour=Contour(256))
                  for t in ensemble] for cell, ensemble in cells]
     batched = [_outcome(r) for r in winding_numbers([p for members in per_cell for p in members])]
     one_cell = [_outcome(r) for members in per_cell for r in winding_numbers(members)]
@@ -467,7 +475,7 @@ def _mirrored_chains(n=60):
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_mixed_cut_batch_matches_single_member_calls(s):
-    members = [SchurParams(g, steps_per_site=s, samples=256) for g in _mirrored_chains()]
+    members = [SchurParams(g, steps_per_site=s, contour=Contour(256)) for g in _mirrored_chains()]
     batched = [_outcome(r) for r in winding_numbers(members)]
     assert batched == [_alone(p) for p in members]
 
@@ -486,11 +494,20 @@ def test_batch_members_must_share_the_recursion():
     with pytest.raises(ValueError):
         winding_numbers([base, SchurParams(gammas=np.full(8, 0.5), steps_per_site=1)])
     with pytest.raises(ValueError):
-        winding_numbers([base, SchurParams(gammas=np.full(9, 0.5))])
-    with pytest.raises(ValueError):
-        winding_numbers([base, SchurParams(gammas=np.full(8, 0.5), samples=256)])
+        winding_numbers([base, SchurParams(gammas=np.full(8, 0.5), contour=Contour(256))])
     with pytest.raises(ValueError):
         winding_numbers([])
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_chains_of_any_length_share_a_batch(s):
+    # shorter than the head, mirrored, all zero, and two cutoffs of one cell
+    chains = [[0.4], [-0.7, 0.2], [0.5, 1.0], [-1.0], np.zeros(5), *_mirrored_chains(),
+              *(reflection_params(1.0, 0.4, n).gammas for n in (144, 233))]
+    members = [SchurParams(g, steps_per_site=s, contour=Contour(256)) for g in chains]
+    assert len({p.gammas.size for p in members}) == 6
+    batched = [_outcome(r) for r in winding_numbers(members)]
+    assert batched == [_alone(p) for p in members]
 
 
 class ReferenceContour:
@@ -586,7 +603,7 @@ def reference_refine(evaluate, contours):
 
 def _reference_windings(members):
     evaluate = _chain_evaluator([p.gammas for p in members], members[0].steps_per_site)
-    contours = [ReferenceContour(p.samples, p.min_modulus, p.max_refine_depth) for p in members]
+    contours = [ReferenceContour(**vars(p.contour)) for p in members]
     return [_outcome(r) for r in reference_refine(evaluate, contours)]
 
 
@@ -599,22 +616,28 @@ def _reference_batches():
     for case, (cell, ensemble, _) in BATCH_CASES.items():
         for s in (1, 2):
             batches[f"{case}-s{s}"] = [
-                reflection_params(*cell, 89, t, steps_per_site=s, samples=256) for t in ensemble]
+                reflection_params(*cell, 89, t, steps_per_site=s, contour=Contour(256))
+                for t in ensemble]
     rng = np.random.default_rng(97)
     for s in (1, 2):
         batches[f"random-s{s}"] = [
-            SchurParams(rng.uniform(-0.95, 0.95, 40), steps_per_site=s, samples=128)
+            SchurParams(rng.uniform(-0.95, 0.95, 40), steps_per_site=s, contour=Contour(128))
             for _ in range(4)]
     generic = reflection_params(1.0, 0.4, 233, Standard()).gammas
     silent = np.zeros(generic.size)
     # f = z^4 up to rounding: nothing to split on the first ring
     settled = reflection_params(np.pi / 2, 0.0, 233, PrefixOverride("AAB")).gammas
     for name, early, contour in (
-        ("exhausted", silent, dict(samples=512, max_refine_depth=2)),
-        ("thin", settled, dict(samples=256, min_modulus=0.8, max_refine_depth=4)),
-        ("plain", silent, dict(samples=512)),
+        ("exhausted", silent, Contour(512, max_refine_depth=2)),
+        ("thin", settled, Contour(256, min_modulus=0.8, max_refine_depth=4)),
+        ("plain", silent, Contour(512)),
     ):
-        batches[f"limits-{name}"] = [SchurParams(g, **contour) for g in (generic, early)]
+        batches[f"limits-{name}"] = [SchurParams(g, contour=contour) for g in (generic, early)]
+    # a pole that no point of the 17-point ring sees, and the first round's
+    # midpoint z = -1 hits, beside a member that refines plainly
+    late_pole = [0.0, -0.9, -(1.0 - 5e-15), -1.0]
+    batches["limits-late-pole"] = [SchurParams(g, steps_per_site=1, contour=Contour(17))
+                                   for g in (late_pole, [0.3, 0.5, 0.2, -0.4])]
     return batches
 
 
@@ -635,6 +658,11 @@ def test_the_limit_cases_are_hit():
     assert float.fromhex(thin[2]) < 0.8 and thin[3:] == (4, True)
     assert silent[0] == "NoReflectionError"
     assert settled[0] == 4 and settled[3:] == (0, False)
+    late_pole, plain_member = REFERENCE_BATCHES["limits-late-pole"]
+    assert 0.99 < np.abs(schur_eval(late_pole, circle(17))).min() <= 1.0
+    batched = [_outcome(r) for r in winding_numbers([late_pole, plain_member])]
+    assert batched[0][0] == "PoleOnContourError" and "recursion step 2 " in batched[0][1]
+    assert batched == [_alone(late_pole), _alone(plain_member)]
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])
@@ -650,7 +678,7 @@ def test_function_winding_matches_the_whole_contour_reference(k):
     for depth in (2, 20):
         (expected,) = reference_refine(lambda z, owner: (*fn(z), {}),
                                        [ReferenceContour(64, 1e-8, depth)])
-        result = winding_of_function(fn, samples=64, max_refine_depth=depth)
+        result = winding_of_function(fn, Contour(64, max_refine_depth=depth))
         assert _outcome(result) == _outcome(expected)
 
 
@@ -662,7 +690,7 @@ def test_function_winding_matches_the_whole_contour_reference(k):
 )
 def test_unambiguous_winding_does_not_depend_on_the_sample_count():
     coarse, fine = (
-        winding_number(reflection_params(1.0, 0.4, 233, Standard(), samples=m))
+        winding_number(reflection_params(1.0, 0.4, 233, Standard(), contour=Contour(m)))
         for m in (512, 4096)
     )
     assert not coarse.ambiguous and not fine.ambiguous

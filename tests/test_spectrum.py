@@ -264,6 +264,15 @@ def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, mo
     assert "edge_sites must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("edge_sites", [1, 7])
+def test_explicit_edge_sites_set_the_boundary_masses(edge_sites):
+    spec = quasienergies(fib_config(34, 1.0, 0.4), edge_sites=edge_sites)
+    site_mass = (np.abs(spec.states) ** 2).reshape(34, 2, -1).sum(axis=1)
+    assert spec.edge_sites == edge_sites
+    assert np.allclose(spec.left_mass, site_mass[:edge_sites].sum(axis=0), rtol=0, atol=1e-14)
+    assert np.allclose(spec.right_mass, site_mass[-edge_sites:].sum(axis=0), rtol=0, atol=1e-14)
+
 def test_theta_shift_by_pi_shifts_energies_by_pi():
     rng = np.random.default_rng(41)
     for _ in range(5):

@@ -17,9 +17,8 @@ from fibwalk.sequence import (
 )
 from fibwalk.schur import (
     DEFAULT_CUTOFF,
-    DEFAULT_MAX_REFINE_DEPTH,
-    DEFAULT_MIN_MODULUS,
     SWEEP_SAMPLES,
+    Contour,
     reflection_params,
     winding_number,
 )
@@ -28,7 +27,6 @@ from fibwalk.sweep import (
     STATUS_AMBIGUOUS,
     STATUS_ERROR,
     STATUS_OK,
-    _contour_settings,
     _run_blocks,
     _winding_map,
     sweep_mcd,
@@ -124,7 +122,7 @@ def test_winding_map_cells_match_single_windings():
     diagram = sweep_winding(grid, Standard(), n_sites=89)
     assert diagram.statuses.count(STATUS_AMBIGUOUS) == 8
     for (ta, tb), value, status in zip(grid.cells(), diagram.values, diagram.statuses):
-        result = winding_number(reflection_params(ta, tb, 89, samples=SWEEP_SAMPLES))
+        result = winding_number(reflection_params(ta, tb, 89, contour=Contour(SWEEP_SAMPLES)))
         expected = STATUS_AMBIGUOUS if result.ambiguous else STATUS_OK
         assert (value, status) == (result.winding, expected)
 
@@ -228,8 +226,8 @@ def test_winding_plateaus_are_quantized_on_a_coarse_grid():
     # sweep_winding gives for termination k.
     grid = GridSpec(resolution=21)
     words = [word_for_termination(DEFAULT_CUTOFF, t) for t in DEFAULT_ENSEMBLE]
-    contour = _contour_settings(2, SWEEP_SAMPLES, DEFAULT_MIN_MODULUS, DEFAULT_MAX_REFINE_DEPTH)
-    cells = _winding_map(grid, words, list, min(4, os.cpu_count() or 1), **contour)
+    workers = min(4, os.cpu_count() or 1)
+    cells = _winding_map(grid, words, list, workers, 2, Contour(SWEEP_SAMPLES))
     for k in range(len(DEFAULT_ENSEMBLE)):
         values = np.array([members[k][0] for members in cells]).reshape(21, 21)
         ok = np.array([members[k][1] == STATUS_OK for members in cells]).reshape(21, 21)
