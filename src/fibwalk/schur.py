@@ -23,13 +23,23 @@ One backward pass carries the derivative along with the value and returns
 the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
 
+Every gamma_n is real, so f_0 is a ratio of real polynomials in z and
+f_0(conj z) = conj f_0(z): the lower half of the circle is the mirror image
+of the upper.  A Schur winding is therefore refined on the closed upper
+arc [0, pi] only, each interval standing for itself and its mirror, and
+is twice the arc's phase increments over 2 pi; the arc starts from the
+ring's points up to pi (pi itself when the ring is even), and an odd
+ring's last point is joined to its mirror by a crossing interval that
+splits at pi.  winding_of_function keeps the whole circle, since an
+arbitrary function need not have real coefficients.
+
 Chains of one steps_per_site and one Contour are refined as one batch
 (winding_numbers; a single chain or function is a batch of one),
 whatever their lengths, cells and terminations.  Every member starts
-from the same ring of samples, closed on its first point.  Each round
-evaluates, in one pass, the midpoints of every interval pending a split,
-tagged with an owner index; only the two halves of each split are tested
-next, and each member's contour is put in order once, at the end.  A chain's
+from the same ring of samples.  Each round evaluates, in one pass, the
+midpoints of every interval pending a split, tagged with an owner index;
+only the two halves of each split are tested next, and each member's
+contour is put in order once, at the end.  A chain's
 first three sites are its head -- the four prefix terminations differ
 only there -- and the sites after them, up to its first reflector, are
 its body.  In homogeneous form f = num/den a site multiplies (num, den)
@@ -494,58 +504,100 @@ def _bad(la, ra, lf, rf, ll, rl, min_modulus):
     )
 
 
-def _refine(evaluate, count, contour: Contour) -> list[WindingResult | ComputationError]:
+def _arc_points(angles):
+    """e^{i angle} on the upper arc, with z = -1 exactly at angle pi: f is
+    real there, as at z = 1, so the arc's phase sum meets its mirror's."""
+    z = np.exp(1j * angles)
+    z[angles == np.pi] = -1.0
+    return z
+
+
+def _refine(
+    evaluate, count, contour: Contour, upper_half: bool
+) -> list[WindingResult | ComputationError]:
     """Refine the contours of a batch of count members together, one
     evaluate call per round.
 
-    Every member starts from the same ring of contour.samples equally spaced
-    angles on [0, 2 pi), and its last interval closes on its first point.
-    Each round passes the midpoints of every interval pending a split, with
-    an owner index, to evaluate(z, owner), which returns (f, df/dz, errors)
-    with errors mapping failed members to their ComputationError.  Only the
-    two halves of each split interval are tested: every interval a round
-    creates has the round's depth, and an interval that is not split never
-    changes.  A member that fails, has no reflection, runs out of points or
-    has nothing left to split leaves the batch; the others go on, until the
-    depth reaches contour.max_refine_depth.  Each member's contour is put in
-    order once, at the end.  Returns one WindingResult or ComputationError
-    per member.
+    On the whole circle every member starts from the same ring of
+    contour.samples equally spaced angles on [0, 2 pi), and its last
+    interval closes on its first point.  With upper_half, f(conj z) =
+    conj f(z) is taken to hold, and the contour is the closed upper arc
+    [0, pi]: its first ring is the whole ring's angles up to pi, with pi
+    itself as the last when contour.samples is even, and each of its
+    intervals stands for itself and its mirror image.  An odd ring's last
+    point phi_m is joined to its mirror 2 pi - phi_m by the crossing
+    interval, whose right end is conj f(phi_m); split, it splits at pi,
+    and only its left half, an arc interval, is kept.  The point pi is
+    z = -1 exactly, so f is real at both ends of the arc.  In the phase sum
+    and in the point budget an arc interval counts twice, and the
+    unsplit crossing interval and the point pi count once, so both read
+    as on the whole circle.
+
+    Each round passes the midpoints of every interval pending a split,
+    with an owner index, to evaluate(z, owner), which returns (f, df/dz,
+    errors) with errors mapping failed members to their ComputationError.
+    Only the two halves of each split interval are tested: every interval
+    a round creates has the round's depth, and an interval that is not
+    split never changes.  A member that fails, has no reflection, runs out
+    of points or has nothing left to split leaves the batch; the others go
+    on, until the depth reaches contour.max_refine_depth.  Each member's
+    contour is put in order once, at the end.  Returns one WindingResult
+    or ComputationError per member.
     """
     samples, min_modulus = contour.samples, contour.min_modulus
+    fold = 2 if upper_half else 1  # contour intervals an arc interval stands for
     results: list = [None] * count
     ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    owner = np.repeat(np.arange(count), samples)
-    f, df, errors = evaluate(np.tile(np.exp(1j * ring), count), owner)
+    if upper_half:
+        ring = ring[: samples // 2 + 1]
+        if samples % 2 == 0:
+            ring[-1] = np.pi
+    size = ring.size
+    on_circle = _arc_points if upper_half else (lambda angles: np.exp(1j * angles))
+    owner = np.repeat(np.arange(count), size)
+    f, df, errors = evaluate(np.tile(on_circle(ring), count), owner)
     live = np.ones(count, dtype=bool)
     for m, error in errors.items():
         results[m], live[m] = error, False
-    f, df = f.reshape(count, samples), df.reshape(count, samples)
+    f, df = f.reshape(count, size), df.reshape(count, size)
     silent = live & (np.abs(f).max(axis=1) < min_modulus)
     for m in np.flatnonzero(silent):
         results[m] = NoReflectionError(
             f"|f| < {float(min_modulus):g} on the whole contour; winding undefined")
     live &= ~silent
 
-    # each live member's ring, and its intervals: owner, and angle, f and
-    # |f'/f| at the left and right ends, the last one ending at 2 pi
+    # each live member's ring, and its intervals: owner, angle, f and |f'/f|
+    # at the left and right ends, and the contour intervals each stands for
     kept = np.flatnonzero(live)
     f, logd = f[kept], _logd(f[kept], df[kept])
-    owner, angles = np.repeat(kept, samples), np.tile(ring, kept.size)
+    owner, angles = np.repeat(kept, size), np.tile(ring, kept.size)
     store = [(owner, angles, f.ravel())]  # ordered by (owner, angle) at the end
-    iv = (owner, angles, np.tile(np.append(ring[1:], 2.0 * np.pi), kept.size), f.ravel(),
-          np.roll(f, -1, axis=1).ravel(), logd.ravel(), np.roll(logd, -1, axis=1).ravel())
+    if upper_half:  # the crossing interval, to the last point's mirror
+        end, end_f, end_logd = 2.0 * np.pi - ring[-1], np.conj(f[:, -1:]), logd[:, -1:]
+    else:  # the closing interval, to the first point turned by 2 pi
+        end, end_f, end_logd = 2.0 * np.pi, f[:, :1], logd[:, :1]
+    right = np.append(ring[1:], end)
+    rf = np.concatenate([f[:, 1:], end_f], axis=1)
+    rl = np.concatenate([logd[:, 1:], end_logd], axis=1)
+    reps = np.full(size, fold)
+    reps[-1] = 1
+    n = size - 1 if upper_half and samples % 2 == 0 else size  # an even arc ends at pi
+    iv = (np.repeat(kept, n), np.tile(ring[:n], kept.size), np.tile(right[:n], kept.size),
+          f[:, :n].ravel(), rf[:, :n].ravel(), logd[:, :n].ravel(), rl[:, :n].ravel(),
+          np.tile(reps[:n], kept.size))
+    crossing = np.full(count, upper_half and n == size)  # crossing interval unsplit
     points = np.full(count, samples + 1)  # each ring counts its closing point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
     level = 0
     while True:
         im = iv[0]
-        bad = _bad(*iv[1:], min_modulus)
+        bad = _bad(*iv[1:7], min_modulus)
         depth[live] = level
         if level >= contour.max_refine_depth:
             exhausted[im[bad]] = True
             break
-        splits = np.bincount(im[bad], minlength=count)
+        splits = np.bincount(im[bad], weights=iv[7][bad], minlength=count).astype(np.int64)
         full = live & (points + splits > _MAX_CONTOUR_POINTS)
         exhausted |= full
         live &= (splits > 0) & ~full
@@ -553,19 +605,25 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
             break
         points += splits
         go = bad & live[im]
-        im, la, ra, lf, rf, ll, rl = (a[go] for a in iv)
-        mid = (la + ra) / 2.0
-        mf, mdf, errors = evaluate(np.exp(1j * mid), im)
+        im, la, ra, lf, rf, ll, rl, reps = (a[go] for a in iv)
+        crosses = reps < fold
+        crossing[im[crosses]] = False
+        mid = np.where(crosses, np.pi, (la + ra) / 2.0)
+        mf, mdf, errors = evaluate(on_circle(mid), im)
         for m, error in errors.items():
             results[m], live[m] = error, False
         store.append((im, mid, mf))
         keep = live[im]
-        im, la, ra, lf, rf, ll, rl, mid, mf, mdf = (
-            a[keep] for a in (im, la, ra, lf, rf, ll, rl, mid, mf, mdf))
+        im, la, ra, lf, rf, ll, rl, reps, mid, mf, mdf = (
+            a[keep] for a in (im, la, ra, lf, rf, ll, rl, reps, mid, mf, mdf))
         ml = _logd(mf, mdf)
-        # the halves of each split interval, side by side in contour order
+        # the halves of each split interval, side by side in contour order;
+        # the crossing interval's right half is the mirror of its left
         iv = tuple(np.stack((x, y), axis=1).ravel() for x, y in (
-            (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl)))
+            (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl),
+            (np.full_like(reps, fold), reps)))
+        if crosses.any():
+            iv = tuple(a[iv[7] == fold] for a in iv)
         level += 1
 
     owner, angles, f = (np.concatenate(parts) for parts in zip(*store))
@@ -575,7 +633,15 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     for m in range(count):
         if results[m] is None:
             fvals = f[bounds[m] : bounds[m + 1]]
-            raw = float(np.sum(np.angle(np.roll(fvals, -1) / fvals)) / (2.0 * np.pi))
+            if not upper_half:  # closed on the first point
+                ends = np.append(fvals[1:], fvals[0])
+            elif crossing[m]:  # the crossing interval ends on the last point's mirror
+                ends = np.append(fvals[1:], np.conj(fvals[-1]))
+            else:  # the arc ends at pi
+                ends = fvals[1:]
+            steps = np.angle(ends / fvals[: ends.size])
+            steps[: fvals.size - 1] *= fold
+            raw = float(np.sum(steps) / (2.0 * np.pi))
             min_abs = float(np.min(np.abs(fvals)))
             winding = round(raw)
             ambiguous = (
@@ -623,7 +689,7 @@ def winding_of_function(fn, contour: Contour = Contour()) -> WindingResult:
     minimum modulus stays below min_modulus, or the unwrapped total is not
     close to an integer.
     """
-    return _single(_refine(lambda z, owner: (*fn(z), {}), 1, contour))
+    return _single(_refine(lambda z, owner: (*fn(z), {}), 1, contour, upper_half=False))
 
 
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
@@ -639,7 +705,7 @@ def winding_numbers(members: list[SchurParams]) -> list[WindingResult | Computat
         raise ValueError("a batch needs members of one steps_per_site and one contour")
     ((s, contour),) = shared
     evaluate = _chain_evaluator([p.gammas for p in members], s)
-    return _refine(evaluate, len(members), contour)
+    return _refine(evaluate, len(members), contour, upper_half=True)
 
 
 def winding_number(params: SchurParams) -> WindingResult:

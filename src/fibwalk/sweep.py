@@ -120,6 +120,14 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a cpuset or taskset can make it far smaller than the machine)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     """block_fn over consecutive blocks of cells, its results joined in cell order.
 
@@ -127,7 +135,7 @@ def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     most max_block cells and at most a worker's share, and at least one cell.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     size = max(1, min(max_block, -(-len(cells) // workers)))

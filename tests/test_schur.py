@@ -17,6 +17,7 @@ from fibwalk.schur import (
     _chain_evaluator,
     _eval_circle,
     _logd,
+    _refine,
     reflection_params,
     schur_eval,
     symmetry_point_values,
@@ -513,15 +514,41 @@ def test_chains_of_any_length_share_a_batch(s):
 class ReferenceContour:
     """The adaptive contour of one member as a whole array, rebuilt by
     insertion every round, with every interval re-tested: the plain form of
-    the refinement, kept as a reference for the batched one."""
+    the refinement, kept as a reference for the batched one.
 
-    def __init__(self, samples, min_modulus, max_refine_depth):
+    With upper_half the contour is the closed upper arc: the whole ring's
+    angles up to pi (pi itself last on an even ring), each interval standing
+    for itself and its mirror image.  An odd ring's last point is joined to
+    its mirror by the crossing interval, which ends on conj f, splits at pi
+    (z = -1 exactly) and keeps only its left half."""
+
+    def __init__(self, samples, min_modulus, max_refine_depth, upper_half=False):
         self.min_modulus = min_modulus
         self.max_refine_depth = max_refine_depth
+        self.fold = 2 if upper_half else 1
         self.angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        if upper_half:
+            self.angles = self.angles[: samples // 2 + 1]
+            if samples % 2 == 0:
+                self.angles[-1] = np.pi
+        self.crossing = upper_half and self.angles[-1] < np.pi
         self.fvals = None
         self.exhausted = False
         self.pending = self.angles
+
+    def points(self):
+        """The pending points; on the upper arc pi is z = -1 exactly."""
+        z = np.exp(1j * self.pending)
+        if self.fold == 2:
+            z[self.pending == np.pi] = -1.0
+        return z
+
+    def weights(self):
+        """The contour intervals each interval stands for."""
+        weights = np.full(len(self.angles) - 1, self.fold)
+        if self.crossing:
+            weights[-1] = 1
+        return weights
 
     def absorb(self, vals, derivs):
         if self.fvals is None:
@@ -529,9 +556,15 @@ class ReferenceContour:
                 raise NoReflectionError(
                     f"|f| < {self.min_modulus:g} on the whole contour; winding undefined")
             ld_ring = _logd(vals, derivs)
-            self.angles = np.append(self.angles, 2.0 * np.pi)
-            self.fvals = np.append(vals, vals[0])
-            self.logd = np.append(ld_ring, ld_ring[0])
+            self.fvals, self.logd = vals, ld_ring
+            if self.fold == 1:  # closed on the first point
+                self.angles = np.append(self.angles, 2.0 * np.pi)
+                self.fvals = np.append(vals, vals[0])
+                self.logd = np.append(ld_ring, ld_ring[0])
+            elif self.crossing:  # joined to the last point's mirror
+                self.angles = np.append(self.angles, 2.0 * np.pi - self.angles[-1])
+                self.fvals = np.append(vals, np.conj(vals[-1]))
+                self.logd = np.append(ld_ring, ld_ring[-1])
             self.depth = np.zeros(len(self.angles) - 1, dtype=np.int64)
             self.min_abs = float(np.min(np.abs(self.fvals)))
             return
@@ -542,6 +575,10 @@ class ReferenceContour:
         self.logd = np.insert(self.logd, at, _logd(vals, derivs))
         self.depth = np.repeat(np.where(self.splitting, self.depth + 1, self.depth),
                                np.where(self.splitting, 2, 1))
+        if self.crossing and self.splitting[-1]:  # the right half is the left's mirror
+            self.angles, self.fvals, self.logd = self.angles[:-1], self.fvals[:-1], self.logd[:-1]
+            self.depth = self.depth[:-1]
+            self.crossing = False
 
     def bisect(self):
         mods = np.abs(self.fvals)
@@ -556,16 +593,20 @@ class ReferenceContour:
         if not splittable.any():
             self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
             return False
-        if len(self.angles) + int(splittable.sum()) > 1 << 21:
+        weights = self.weights()
+        if weights.sum() + 1 + weights[splittable].sum() > 1 << 21:
             self.exhausted = True
             return False
         self.splitting = splittable
         self.split_at = np.flatnonzero(splittable)
         self.pending = (self.angles[self.split_at] + self.angles[self.split_at + 1]) / 2.0
+        if self.crossing and splittable[-1]:
+            self.pending[-1] = np.pi
         return True
 
     def result(self):
-        raw = float(np.sum(np.angle(self.fvals[1:] / self.fvals[:-1])) / (2.0 * np.pi))
+        increments = np.angle(self.fvals[1:] / self.fvals[:-1])
+        raw = float(np.sum(self.weights() * increments) / (2.0 * np.pi))
         winding = round(raw)
         ambiguous = (self.exhausted or self.min_abs < self.min_modulus
                      or abs(raw - winding) > _RESIDUAL_GUARD)
@@ -580,8 +621,7 @@ def reference_refine(evaluate, contours):
     while active:
         sizes = [contours[m].pending.size for m in active]
         owner = np.repeat(active, sizes)
-        f, df, errors = evaluate(
-            np.exp(1j * np.concatenate([contours[m].pending for m in active])), owner)
+        f, df, errors = evaluate(np.concatenate([contours[m].points() for m in active]), owner)
         bounds = np.cumsum([0] + sizes)
         still = []
         for m, lo, hi in zip(active, bounds[:-1], bounds[1:]):
@@ -601,9 +641,9 @@ def reference_refine(evaluate, contours):
     return results
 
 
-def _reference_windings(members):
+def _reference_windings(members, upper_half=True):
     evaluate = _chain_evaluator([p.gammas for p in members], members[0].steps_per_site)
-    contours = [ReferenceContour(**vars(p.contour)) for p in members]
+    contours = [ReferenceContour(**vars(p.contour), upper_half=upper_half) for p in members]
     return [_outcome(r) for r in reference_refine(evaluate, contours)]
 
 
@@ -663,6 +703,78 @@ def test_the_limit_cases_are_hit():
     batched = [_outcome(r) for r in winding_numbers([late_pole, plain_member])]
     assert batched[0][0] == "PoleOnContourError" and "recursion step 2 " in batched[0][1]
     assert batched == [_alone(late_pole), _alone(plain_member)]
+
+
+def _arc_members():
+    """Every member of REFERENCE_BATCHES, and members on rings of 17, 255 and
+    257 samples, grouped in batches of one steps_per_site and contour."""
+    batches = list(REFERENCE_BATCHES.values())
+    coins = CoinAngles(1.0, 0.4)
+    chains = [reflection_amplitudes(angles_for(word_for_termination(89, t), coins))
+              for t in (Standard(), PrefixOverride("AAB"), Phason(0.37))]
+    chains.append(np.random.default_rng(17).uniform(-0.95, 0.95, 40))
+    for samples in (17, 255, 257):
+        for s in (1, 2):
+            batches.append([SchurParams(g, steps_per_site=s, contour=Contour(samples))
+                            for g in chains])
+    return batches
+
+
+def _kind(outcome):
+    """(error type, winding, ambiguous flag) of an _outcome."""
+    if isinstance(outcome[0], str):
+        return outcome[0], None, None
+    return "ok", outcome[0], outcome[4]
+
+
+def test_the_upper_arc_agrees_with_the_whole_circle():
+    for batch in _arc_members():
+        arc = [_kind(_outcome(r)) for r in winding_numbers(batch)]
+        assert arc == [_kind(o) for o in _reference_windings(batch, upper_half=False)]
+
+
+def test_the_late_pole_is_found_where_the_crossing_interval_splits():
+    # The 17-point arc ends at 16 pi / 17; its crossing interval splits at pi
+    # in the first round, and z = -1 hits the pole there.
+    late_pole, _ = REFERENCE_BATCHES["limits-late-pole"]
+    evaluate = _chain_evaluator([late_pole.gammas], 1)
+    rounds = []
+
+    def recording(z, owner):
+        f, fp, errors = evaluate(z, owner)
+        rounds.append((z, f, errors))
+        return f, fp, errors
+
+    (result,) = _refine(recording, 1, late_pole.contour, upper_half=True)
+    assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
+    (ring, _, ring_errors), (z, f, errors) = rounds
+    assert ring.size == 9 and not ring_errors and list(errors) == [0]
+    assert np.array_equal(z[np.isnan(f)], [-1.0])
+
+
+CONJUGATION_CHAINS = {
+    "random": np.random.default_rng(101).uniform(-0.95, 0.95, 60),
+    "mirror": _mirrored_chains()[0],
+    "near-mirror": np.array([0.1, 0.2, 0.3, 1.0 - 5e-15, 1.0]),
+    "late-pole": np.array([0.0, -0.9, -(1.0 - 5e-15), -1.0]),
+    "standard": reflection_params(1.0, 0.4, 233).gammas,
+}
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("name", list(CONJUGATION_CHAINS))
+def test_the_evaluator_commutes_with_conjugation(name, s):
+    # f(conj z) = conj f(z) bit for bit, poles included: the upper arc
+    # stands for the whole circle.
+    z = np.concatenate([np.exp(1j * np.linspace(0.0, np.pi, 1001)), [1.0, -1.0, 1j]])
+    chains = [CONJUGATION_CHAINS[name], CONJUGATION_CHAINS["random"]]
+    owner = np.repeat([0, 1], z.size)
+    evaluate = _chain_evaluator(chains, s)
+    f, fp, errors = evaluate(np.tile(z, 2), owner)
+    g, gp, mirror_errors = evaluate(np.tile(np.conj(z), 2), owner)
+    assert np.array_equal(np.conj(f), g, equal_nan=True)
+    assert np.array_equal(np.conj(fp), gp, equal_nan=True)
+    assert {m: str(e) for m, e in errors.items()} == {m: str(e) for m, e in mirror_errors.items()}
 
 
 @pytest.mark.parametrize("k", [0, 2, 5])

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fibwalk import walk
+from fibwalk import sweep, walk
 from fibwalk.dynamics import mcd_time_average
 from fibwalk.sequence import (
     DEFAULT_ENSEMBLE,
@@ -218,6 +218,19 @@ def test_workers_below_one_are_rejected_before_any_cell(workers):
 
     with pytest.raises(ValueError, match="workers must be >= 1"):
         _run_blocks(no_block, [(0.0, 0.0), (1.0, 1.0)], workers, 1)
+
+
+def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
+    # Under a one-CPU affinity set the default is one worker, whatever
+    # os.cpu_count() says, so the map runs serially and starts no pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started on a one-CPU affinity set")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    diagram = sweep_winding(GridSpec(resolution=2), workers=None)
+    assert len(diagram.statuses) == 4
+
 
 @pytest.mark.slow
 def test_winding_plateaus_are_quantized_on_a_coarse_grid():
