@@ -70,8 +70,9 @@ DEFAULT_RESOLUTION = 101
 _MCD_BLOCK_AMPLITUDES = 2 ** 15
 
 # Cells per winding block, which bounds a worker's contour memory.  A serial
-# 21x21 winding-average (n = 233, 512 samples) ran 11.9, 10.3 and 9.4 s with
-# a peak RSS of 95, 145 and 256 MB at 16, 32 and 64 cells (2-core host).
+# 21x21 winding-average (n = 233, 512 samples) ran 6.0-6.2, 5.9-6.1 and
+# 5.5-5.8 s with a peak RSS of 65, 88 and 141 MB at 16, 32 and 64 cells
+# (2-core host, two runs each).
 _WINDING_BLOCK_CELLS = 32
 
 
@@ -120,22 +121,17 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one (a cpuset or taskset can make it far smaller than the machine)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     """block_fn over consecutive blocks of cells, its results joined in cell order.
 
     block_fn maps a list of cells to a list of results.  A block holds at
     most max_block cells and at most a worker's share, and at least one cell.
     """
-    if workers is None:
-        workers = _usable_cpus()
+    if workers is None:  # the CPUs this process may run on: a cpuset may hold fewer
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     size = max(1, min(max_block, -(-len(cells) // workers)))
