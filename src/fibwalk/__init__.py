@@ -29,7 +29,6 @@ from .schur import (
     symmetry_point_values,
     winding_number,
     winding_numbers,
-    winding_of_function,
     winding_oracle,
 )
 from .sequence import (

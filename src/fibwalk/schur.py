@@ -30,11 +30,10 @@ arc [0, pi] only, each interval standing for itself and its mirror, and
 is twice the arc's phase increments over 2 pi; the arc starts from the
 ring's points up to pi (pi itself when the ring is even), and an odd
 ring's last point is joined to its mirror by a crossing interval that
-splits at pi.  winding_of_function keeps the whole circle, since an
-arbitrary function need not have real coefficients.
+splits at pi.
 
 Chains of one steps_per_site and one Contour are refined as one batch
-(winding_numbers; a single chain or function is a batch of one),
+(winding_numbers; a single chain is a batch of one),
 whatever their lengths, cells and terminations.  Every member starts
 from the same ring of samples.  Each round evaluates, in one pass, the
 midpoints of every interval pending a split, tagged with an owner index;
@@ -102,9 +101,11 @@ _MAX_CONTOUR_POINTS = 1 << 21
 
 @dataclass(frozen=True)
 class Contour:
-    """The contour a winding is refined on: a ring of samples equally spaced
-    points on the unit circle, the |f| floor min_modulus below which the
-    winding is ill-defined, and the bisection depth limit max_refine_depth."""
+    """The contour a winding is refined on: samples, the size of the ring of
+    equally spaced points that covers the whole unit circle, whose upper
+    half the winding is refined on; the |f| floor min_modulus below which
+    the winding is ill-defined; and the bisection depth limit
+    max_refine_depth."""
 
     samples: int = DEFAULT_SAMPLES
     min_modulus: float = DEFAULT_MIN_MODULUS
@@ -490,7 +491,21 @@ def _logd(fv, dfv):
 
 def _bad(la, ra, lf, rf, ll, rl, min_modulus):
     """Whether each interval, from angle la to ra with f = lf, rf and
-    |f'/f| = ll, rl at its ends, is to be split (see winding_of_function)."""
+    |f'/f| = ll, rl at its ends, is to be split.
+
+    Phase increments between neighbouring samples are taken in (-pi, pi]; an
+    interval is split when its increment exceeds pi/2, an endpoint modulus
+    drops below min_modulus, or the chord |rf - lf| is comparable to the
+    distance of the endpoints from the origin -- the last trigger catches
+    zeros near the contour, whose nearly full-turn phase jumps would
+    otherwise alias to small increments.
+
+    A zero just inside paired with a zero just outside the circle traces a
+    tight loop around the origin that samples alone cannot see (the loop
+    closes on itself between neighbouring points).  An interval with
+    estimated phase motion |dz| * |f'/f| above one radian is therefore split
+    too, which tracks such loops down to the refinement depth limit.
+    """
     end_mods = np.minimum(np.abs(lf), np.abs(rf))
     increments = np.angle(rf / lf)
     chords = np.abs(rf - lf)
@@ -512,26 +527,24 @@ def _arc_points(angles):
     return z
 
 
-def _refine(
-    evaluate, count, contour: Contour, upper_half: bool
-) -> list[WindingResult | ComputationError]:
+def _refine(evaluate, count, contour: Contour) -> list[WindingResult | ComputationError]:
     """Refine the contours of a batch of count members together, one
     evaluate call per round.
 
-    On the whole circle every member starts from the same ring of
-    contour.samples equally spaced angles on [0, 2 pi), and its last
-    interval closes on its first point.  With upper_half, f(conj z) =
-    conj f(z) is taken to hold, and the contour is the closed upper arc
-    [0, pi]: its first ring is the whole ring's angles up to pi, with pi
-    itself as the last when contour.samples is even, and each of its
-    intervals stands for itself and its mirror image.  An odd ring's last
-    point phi_m is joined to its mirror 2 pi - phi_m by the crossing
-    interval, whose right end is conj f(phi_m); split, it splits at pi,
-    and only its left half, an arc interval, is kept.  The point pi is
-    z = -1 exactly, so f is real at both ends of the arc.  In the phase sum
-    and in the point budget an arc interval counts twice, and the
-    unsplit crossing interval and the point pi count once, so both read
-    as on the whole circle.
+    f(conj z) = conj f(z) is taken to hold, so the contour is the closed
+    upper arc [0, pi] and each of its intervals stands for itself and its
+    mirror image.  Every member starts from the same ring: the angles up to
+    pi of contour.samples equally spaced on [0, 2 pi), with pi itself as the
+    last when contour.samples is even.  An odd ring's last point phi_m is
+    joined to its mirror 2 pi - phi_m by the crossing interval, whose right
+    end is conj f(phi_m); split, it splits at pi, and only its left half, an
+    arc interval, is kept.  The point pi is z = -1 exactly, so f is real at
+    both ends of the arc.  In the phase sum and in the point budget an arc
+    interval counts twice, and the unsplit crossing interval and the point
+    pi count once, so both read as on the whole circle.  The result is
+    flagged ambiguous when refinement is exhausted, the minimum modulus
+    stays below contour.min_modulus, or the phase sum is not close to an
+    integer.
 
     Each round passes the midpoints of every interval pending a split,
     with an owner index, to evaluate(z, owner), which returns (f, df/dz,
@@ -545,17 +558,13 @@ def _refine(
     or ComputationError per member.
     """
     samples, min_modulus = contour.samples, contour.min_modulus
-    fold = 2 if upper_half else 1  # contour intervals an arc interval stands for
     results: list = [None] * count
-    ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    if upper_half:
-        ring = ring[: samples // 2 + 1]
-        if samples % 2 == 0:
-            ring[-1] = np.pi
+    ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: samples // 2 + 1]
+    if samples % 2 == 0:
+        ring[-1] = np.pi
     size = ring.size
-    on_circle = _arc_points if upper_half else (lambda angles: np.exp(1j * angles))
     owner = np.repeat(np.arange(count), size)
-    f, df, errors = evaluate(np.tile(on_circle(ring), count), owner)
+    f, df, errors = evaluate(np.tile(_arc_points(ring), count), owner)
     live = np.ones(count, dtype=bool)
     for m, error in errors.items():
         results[m], live[m] = error, False
@@ -567,25 +576,22 @@ def _refine(
     live &= ~silent
 
     # each live member's ring, and its intervals: owner, angle, f and |f'/f|
-    # at the left and right ends, and the contour intervals each stands for
+    # at the left and right ends, and the contour intervals each stands for;
+    # the last is the crossing interval, to the last point's mirror
     kept = np.flatnonzero(live)
     f, logd = f[kept], _logd(f[kept], df[kept])
     owner, angles = np.repeat(kept, size), np.tile(ring, kept.size)
     store = [(owner, angles, f.ravel())]  # ordered by (owner, angle) at the end
-    if upper_half:  # the crossing interval, to the last point's mirror
-        end, end_f, end_logd = 2.0 * np.pi - ring[-1], np.conj(f[:, -1:]), logd[:, -1:]
-    else:  # the closing interval, to the first point turned by 2 pi
-        end, end_f, end_logd = 2.0 * np.pi, f[:, :1], logd[:, :1]
-    right = np.append(ring[1:], end)
-    rf = np.concatenate([f[:, 1:], end_f], axis=1)
-    rl = np.concatenate([logd[:, 1:], end_logd], axis=1)
-    reps = np.full(size, fold)
+    right = np.append(ring[1:], 2.0 * np.pi - ring[-1])
+    rf = np.concatenate([f[:, 1:], np.conj(f[:, -1:])], axis=1)
+    rl = np.concatenate([logd[:, 1:], logd[:, -1:]], axis=1)
+    reps = np.full(size, 2)
     reps[-1] = 1
-    n = size - 1 if upper_half and samples % 2 == 0 else size  # an even arc ends at pi
+    n = size if samples % 2 else size - 1  # an even arc ends at pi
     iv = (np.repeat(kept, n), np.tile(ring[:n], kept.size), np.tile(right[:n], kept.size),
           f[:, :n].ravel(), rf[:, :n].ravel(), logd[:, :n].ravel(), rl[:, :n].ravel(),
           np.tile(reps[:n], kept.size))
-    crossing = np.full(count, upper_half and n == size)  # crossing interval unsplit
+    crossing = np.full(count, n == size)  # crossing interval unsplit
     points = np.full(count, samples + 1)  # each ring counts its closing point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
@@ -606,10 +612,10 @@ def _refine(
         points += splits
         go = bad & live[im]
         im, la, ra, lf, rf, ll, rl, reps = (a[go] for a in iv)
-        crosses = reps < fold
+        crosses = reps == 1
         crossing[im[crosses]] = False
         mid = np.where(crosses, np.pi, (la + ra) / 2.0)
-        mf, mdf, errors = evaluate(on_circle(mid), im)
+        mf, mdf, errors = evaluate(_arc_points(mid), im)
         for m, error in errors.items():
             results[m], live[m] = error, False
         store.append((im, mid, mf))
@@ -621,9 +627,9 @@ def _refine(
         # the crossing interval's right half is the mirror of its left
         iv = tuple(np.stack((x, y), axis=1).ravel() for x, y in (
             (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl),
-            (np.full_like(reps, fold), reps)))
+            (np.full_like(reps, 2), reps)))
         if crosses.any():
-            iv = tuple(a[iv[7] == fold] for a in iv)
+            iv = tuple(a[iv[7] == 2] for a in iv)
         level += 1
 
     owner, angles, f = (np.concatenate(parts) for parts in zip(*store))
@@ -633,14 +639,11 @@ def _refine(
     for m in range(count):
         if results[m] is None:
             fvals = f[bounds[m] : bounds[m + 1]]
-            if not upper_half:  # closed on the first point
-                ends = np.append(fvals[1:], fvals[0])
-            elif crossing[m]:  # the crossing interval ends on the last point's mirror
-                ends = np.append(fvals[1:], np.conj(fvals[-1]))
-            else:  # the arc ends at pi
-                ends = fvals[1:]
+            # an unsplit crossing interval ends on the last point's mirror,
+            # else the arc ends at pi
+            ends = np.append(fvals[1:], np.conj(fvals[-1])) if crossing[m] else fvals[1:]
             steps = np.angle(ends / fvals[: ends.size])
-            steps[: fvals.size - 1] *= fold
+            steps[: fvals.size - 1] *= 2
             raw = float(np.sum(steps) / (2.0 * np.pi))
             min_abs = float(np.min(np.abs(fvals)))
             winding = round(raw)
@@ -659,39 +662,6 @@ def _refine(
     return results
 
 
-def _single(results: list[WindingResult | ComputationError]) -> WindingResult:
-    (result,) = results
-    if isinstance(result, ComputationError):
-        raise result
-    return result
-
-
-def winding_of_function(fn, contour: Contour = Contour()) -> WindingResult:
-    """Winding of fn(z) around 0 as z runs over the unit circle.
-
-    fn maps an array of contour points to the pair (f, df/dz), two complex
-    arrays of the same shape.  Phase increments between neighbouring
-    samples are taken in (-pi, pi]; an interval is bisected (up to the
-    contour's max_refine_depth) when its increment exceeds pi/2, an
-    endpoint modulus drops below min_modulus, or the chord |f_{k+1} - f_k|
-    is comparable to the distance of the endpoints from the origin -- the
-    last trigger catches zeros near the contour, whose nearly full-turn
-    phase jumps would otherwise alias to small increments.
-
-    A zero just inside paired with a zero just outside the circle traces a
-    tight loop around the origin that samples alone cannot see (the loop
-    closes on itself between neighbouring points).  Intervals with
-    estimated phase motion |dz| * |f'/f| above one radian are therefore
-    bisected too, which tracks such loops down to the refinement depth
-    limit.
-
-    The result is flagged ambiguous when refinement is exhausted, the
-    minimum modulus stays below min_modulus, or the unwrapped total is not
-    close to an integer.
-    """
-    return _single(_refine(lambda z, owner: (*fn(z), {}), 1, contour, upper_half=False))
-
-
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
     """Schur winding numbers of several chains, refined together.
 
@@ -705,12 +675,15 @@ def winding_numbers(members: list[SchurParams]) -> list[WindingResult | Computat
         raise ValueError("a batch needs members of one steps_per_site and one contour")
     ((s, contour),) = shared
     evaluate = _chain_evaluator([p.gammas for p in members], s)
-    return _refine(evaluate, len(members), contour, upper_half=True)
+    return _refine(evaluate, len(members), contour)
 
 
 def winding_number(params: SchurParams) -> WindingResult:
     """Schur winding number by contour phase unwrapping."""
-    return _single(winding_numbers([params]))
+    (result,) = winding_numbers([params])
+    if isinstance(result, ComputationError):
+        raise result
+    return result
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

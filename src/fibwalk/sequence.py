@@ -126,6 +126,8 @@ def cut_project_word(length: int, phason: float) -> FibonacciWord:
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if not math.isfinite(phason):
+        raise ValueError("phason must be finite")
     phi = phason - math.floor(phason)
     n = np.arange(length, dtype=np.float64)
     hi = np.floor((n + 2.0) * GOLDEN_RATIO_INV + phi)

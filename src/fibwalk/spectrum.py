@@ -368,6 +368,8 @@ def classify_edge_modes(
     """
     if not 0.0 < weight_threshold < 1.0:
         raise ValueError(f"weight_threshold must be in (0, 1), got {weight_threshold}")
+    if not pin_tolerance >= 0.0:
+        raise ValueError(f"pin_tolerance must be >= 0, got {pin_tolerance}")
     left, right = spectrum.left_mass, spectrum.right_mass
     weights = spectrum.boundary_weights
     e = spectrum.energies
@@ -410,6 +412,8 @@ def gap_labels(
     """Integer (p, q) with ids ~ p + q/tau per gap, or None when nothing fits."""
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     labels: list[tuple[int, int] | None] = []
     q_order = [0] + [q * sign for q in range(1, q_max + 1) for sign in (1, -1)]
     for gap in gaps:

@@ -173,6 +173,13 @@ NAN_CASES = {
                         "--phase-right", "inf"],
     "min-gap-width-nan": ["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34",
                           "--min-gap-width", "nan"],
+    # the flagship cell, whose zero and pi modes a NaN window would call unpinned
+    "pin-tolerance-nan": ["spectrum", "--theta-a", "1.5707963267948966", "--theta-b", "0",
+                          "--n", "34", "--pin-tolerance", "nan"],
+    "label-tolerance-negative": ["spectrum", "--theta-a", "1.5707963267948966", "--theta-b",
+                                 "0", "--n", "34", "--label-tolerance", "-1"],
+    "word-phason-inf": ["word", "--length", "5", "--phason", "inf"],
+    "word-phason-nan": ["word", "--length", "5", "--phason", "nan"],
     # the transparent cell: the default min_modulus exits 2 here
     "min-modulus-nan": ["winding", "--theta-a", "1.5707963267948966", "--theta-b",
                         "1.5707963267948966", "--n", "34", "--min-modulus", "nan"],

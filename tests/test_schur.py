@@ -23,7 +23,6 @@ from fibwalk.schur import (
     symmetry_point_values,
     winding_number,
     winding_numbers,
-    winding_of_function,
     winding_oracle,
 )
 from fibwalk.sequence import (
@@ -106,11 +105,14 @@ def test_winding_quartet_at_the_flagship_point():
     assert not literal.ambiguous
 
 
+@pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_synthetic_monomials(k):
-    result = winding_of_function(lambda z: (z**k, k * z ** (k - 1)), Contour(256))
-    assert result.winding == k
-    assert not result.ambiguous
+def test_synthetic_monomials(k, s):
+    # k transparent sites before a reflector: f = z^(s k) exactly
+    params = SchurParams([0.0] * k + [1.0], steps_per_site=s, contour=Contour(256))
+    result = winding_number(params)
+    assert result.winding == s * k
+    assert not result.ambiguous and result.refine_depth_used == 0
 
 
 @pytest.mark.parametrize("contour,message", [
@@ -745,7 +747,7 @@ def test_the_late_pole_is_found_where_the_crossing_interval_splits():
         rounds.append((z, f, errors))
         return f, fp, errors
 
-    (result,) = _refine(recording, 1, late_pole.contour, upper_half=True)
+    (result,) = _refine(recording, 1, late_pole.contour)
     assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
     (ring, _, ring_errors), (z, f, errors) = rounds
     assert ring.size == 9 and not ring_errors and list(errors) == [0]
@@ -775,23 +777,6 @@ def test_the_evaluator_commutes_with_conjugation(name, s):
     assert np.array_equal(np.conj(f), g, equal_nan=True)
     assert np.array_equal(np.conj(fp), gp, equal_nan=True)
     assert {m: str(e) for m, e in errors.items()} == {m: str(e) for m, e in mirror_errors.items()}
-
-
-@pytest.mark.parametrize("k", [0, 2, 5])
-def test_function_winding_matches_the_whole_contour_reference(k):
-    rng = np.random.default_rng(k)
-    roots = rng.uniform(0.5, 1.5, k) * np.exp(2j * np.pi * rng.uniform(size=k))
-
-    def fn(z):
-        f = np.prod(z[:, None] - roots, axis=1) / 2.0**k
-        fp = f * np.sum(1.0 / (z[:, None] - roots), axis=1)
-        return f, fp
-
-    for depth in (2, 20):
-        (expected,) = reference_refine(lambda z, owner: (*fn(z), {}),
-                                       [ReferenceContour(64, 1e-8, depth)])
-        result = winding_of_function(fn, Contour(64, max_refine_depth=depth))
-        assert _outcome(result) == _outcome(expected)
 
 
 @pytest.mark.xfail(
