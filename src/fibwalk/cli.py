@@ -541,15 +541,15 @@ def main(argv=None) -> int:
             raise _CliError(parser.format_usage() + "error: a subcommand is required")
         params = _effective_params(args.command, args)
         summary, results = _COMMANDS[args.command].run(params)
+        _write_sidecar(args.command, params, results)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # _CliError included
+    except (ValueError, OSError) as exc:  # _CliError, and a file that cannot be read or written
         print(str(exc), file=sys.stderr)
         return 1
-    _write_sidecar(args.command, params, results)
     print(summary)
     return 0
 

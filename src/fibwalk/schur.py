@@ -7,7 +7,7 @@ backward Möbius recursion
 
 initialized with f_N = 0 at the cutoff (transparent tail) and iterated to
 the boundary value f_0.  Each step uses z^s with s = steps_per_site; the
-default s = 2 counts both half-waves crossing a site, which is the
+default s = 2 counts both half-waves through a site, which is the
 convention that yields winding numbers consistent with the pinned-mode
 structure of the walk (see README), while s = 1 is the literal single-power
 recursion.
@@ -26,11 +26,9 @@ the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 Every gamma_n is real, so f_0 is a ratio of real polynomials in z and
 f_0(conj z) = conj f_0(z): the lower half of the circle is the mirror image
 of the upper.  A Schur winding is therefore refined on the closed upper
-arc [0, pi] only, each interval standing for itself and its mirror, and
-is twice the arc's phase increments over 2 pi; the arc starts from the
-ring's points up to pi (pi itself when the ring is even), and an odd
-ring's last point is joined to its mirror by a crossing interval that
-splits at pi.
+arc [0, pi] only, from the ring's points below pi and then z = -1; each
+interval stands for itself and its mirror, and the winding is twice the
+arc's phase increments over 2 pi.
 
 Chains of one steps_per_site and one Contour are refined as one batch
 (winding_numbers; a single chain is a batch of one),
@@ -102,10 +100,11 @@ _MAX_CONTOUR_POINTS = 1 << 21
 @dataclass(frozen=True)
 class Contour:
     """The contour a winding is refined on: samples, the size of the ring of
-    equally spaced points that covers the whole unit circle, whose upper
-    half the winding is refined on; the |f| floor min_modulus below which
-    the winding is ill-defined; and the bisection depth limit
-    max_refine_depth."""
+    equally spaced points that covers the whole unit circle, whose points
+    below pi, then z = -1, start the upper arc the winding is refined on
+    (at most half the point budget, so that refinement keeps the other
+    half); the |f| floor min_modulus below which the winding is
+    ill-defined; and the bisection depth limit max_refine_depth."""
 
     samples: int = DEFAULT_SAMPLES
     min_modulus: float = DEFAULT_MIN_MODULUS
@@ -114,6 +113,8 @@ class Contour:
     def __post_init__(self):
         if not self.samples >= 16:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
+        if not self.samples <= _MAX_CONTOUR_POINTS // 2:
+            raise ValueError(f"samples must be <= {_MAX_CONTOUR_POINTS // 2}, got {self.samples}")
         if not self.min_modulus > 0.0:
             raise ValueError(f"min_modulus must be > 0, got {self.min_modulus}")
         if not self.max_refine_depth >= 0:
@@ -533,18 +534,12 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
 
     f(conj z) = conj f(z) is taken to hold, so the contour is the closed
     upper arc [0, pi] and each of its intervals stands for itself and its
-    mirror image.  Every member starts from the same ring: the angles up to
-    pi of contour.samples equally spaced on [0, 2 pi), with pi itself as the
-    last when contour.samples is even.  An odd ring's last point phi_m is
-    joined to its mirror 2 pi - phi_m by the crossing interval, whose right
-    end is conj f(phi_m); split, it splits at pi, and only its left half, an
-    arc interval, is kept.  The point pi is z = -1 exactly, so f is real at
-    both ends of the arc.  In the phase sum and in the point budget an arc
-    interval counts twice, and the unsplit crossing interval and the point
-    pi count once, so both read as on the whole circle.  The result is
-    flagged ambiguous when refinement is exhausted, the minimum modulus
-    stays below contour.min_modulus, or the phase sum is not close to an
-    integer.
+    mirror image: it counts twice in the phase sum and in the point budget.
+    Every member starts from the same arc: the angles below pi of
+    contour.samples equally spaced on [0, 2 pi), then pi, which is z = -1
+    exactly, so f is real at both ends of the arc.  The result is flagged
+    ambiguous when refinement is exhausted, the minimum modulus stays below
+    contour.min_modulus, or the phase sum is not close to an integer.
 
     Each round passes the midpoints of every interval pending a split,
     with an owner index, to evaluate(z, owner), which returns (f, df/dz,
@@ -559,9 +554,8 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     """
     samples, min_modulus = contour.samples, contour.min_modulus
     results: list = [None] * count
-    ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: samples // 2 + 1]
-    if samples % 2 == 0:
-        ring[-1] = np.pi
+    below = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: (samples + 1) // 2]
+    ring = np.append(below, np.pi)
     size = ring.size
     owner = np.repeat(np.arange(count), size)
     f, df, errors = evaluate(np.tile(_arc_points(ring), count), owner)
@@ -576,34 +570,25 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     live &= ~silent
 
     # each live member's ring, and its intervals: owner, angle, f and |f'/f|
-    # at the left and right ends, and the contour intervals each stands for;
-    # the last is the crossing interval, to the last point's mirror
+    # at the left and right ends
     kept = np.flatnonzero(live)
     f, logd = f[kept], _logd(f[kept], df[kept])
     owner, angles = np.repeat(kept, size), np.tile(ring, kept.size)
     store = [(owner, angles, f.ravel())]  # ordered by (owner, angle) at the end
-    right = np.append(ring[1:], 2.0 * np.pi - ring[-1])
-    rf = np.concatenate([f[:, 1:], np.conj(f[:, -1:])], axis=1)
-    rl = np.concatenate([logd[:, 1:], logd[:, -1:]], axis=1)
-    reps = np.full(size, 2)
-    reps[-1] = 1
-    n = size if samples % 2 else size - 1  # an even arc ends at pi
-    iv = (np.repeat(kept, n), np.tile(ring[:n], kept.size), np.tile(right[:n], kept.size),
-          f[:, :n].ravel(), rf[:, :n].ravel(), logd[:, :n].ravel(), rl[:, :n].ravel(),
-          np.tile(reps[:n], kept.size))
-    crossing = np.full(count, n == size)  # crossing interval unsplit
-    points = np.full(count, samples + 1)  # each ring counts its closing point
+    iv = (np.repeat(kept, size - 1), np.tile(ring[:-1], kept.size), np.tile(ring[1:], kept.size),
+          f[:, :-1].ravel(), f[:, 1:].ravel(), logd[:, :-1].ravel(), logd[:, 1:].ravel())
+    points = np.full(count, 2 * size - 1)  # the whole circle, closed on its first point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
     level = 0
     while True:
         im = iv[0]
-        bad = _bad(*iv[1:7], min_modulus)
+        bad = _bad(*iv[1:], min_modulus)
         depth[live] = level
         if level >= contour.max_refine_depth:
             exhausted[im[bad]] = True
             break
-        splits = np.bincount(im[bad], weights=iv[7][bad], minlength=count).astype(np.int64)
+        splits = 2 * np.bincount(im[bad], minlength=count)
         full = live & (points + splits > _MAX_CONTOUR_POINTS)
         exhausted |= full
         live &= (splits > 0) & ~full
@@ -611,25 +596,19 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
             break
         points += splits
         go = bad & live[im]
-        im, la, ra, lf, rf, ll, rl, reps = (a[go] for a in iv)
-        crosses = reps == 1
-        crossing[im[crosses]] = False
-        mid = np.where(crosses, np.pi, (la + ra) / 2.0)
+        im, la, ra, lf, rf, ll, rl = (a[go] for a in iv)
+        mid = (la + ra) / 2.0
         mf, mdf, errors = evaluate(_arc_points(mid), im)
         for m, error in errors.items():
             results[m], live[m] = error, False
         store.append((im, mid, mf))
         keep = live[im]
-        im, la, ra, lf, rf, ll, rl, reps, mid, mf, mdf = (
-            a[keep] for a in (im, la, ra, lf, rf, ll, rl, reps, mid, mf, mdf))
+        im, la, ra, lf, rf, ll, rl, mid, mf, mdf = (
+            a[keep] for a in (im, la, ra, lf, rf, ll, rl, mid, mf, mdf))
         ml = _logd(mf, mdf)
-        # the halves of each split interval, side by side in contour order;
-        # the crossing interval's right half is the mirror of its left
+        # the halves of each split interval, side by side in contour order
         iv = tuple(np.stack((x, y), axis=1).ravel() for x, y in (
-            (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl),
-            (np.full_like(reps, 2), reps)))
-        if crosses.any():
-            iv = tuple(a[iv[7] == 2] for a in iv)
+            (im, im), (la, mid), (mid, ra), (lf, mf), (mf, rf), (ll, ml), (ml, rl)))
         level += 1
 
     owner, angles, f = (np.concatenate(parts) for parts in zip(*store))
@@ -639,12 +618,7 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     for m in range(count):
         if results[m] is None:
             fvals = f[bounds[m] : bounds[m + 1]]
-            # an unsplit crossing interval ends on the last point's mirror,
-            # else the arc ends at pi
-            ends = np.append(fvals[1:], np.conj(fvals[-1])) if crossing[m] else fvals[1:]
-            steps = np.angle(ends / fvals[: ends.size])
-            steps[: fvals.size - 1] *= 2
-            raw = float(np.sum(steps) / (2.0 * np.pi))
+            raw = float(np.sum(2 * np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
             min_abs = float(np.min(np.abs(fvals)))
             winding = round(raw)
             ambiguous = (

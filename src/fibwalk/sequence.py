@@ -179,7 +179,8 @@ def reflection_amplitudes(angles: np.ndarray) -> np.ndarray:
     sin theta_n; the test suite builds it from the moments of U and pins
     the difference from cos theta_n as a strict xfail.  cos theta_n is the
     reflection amplitude of the coin R(theta) sigma_x; it stays the Schur
-    engine's gamma until the convention is decided (ROADMAP item 1(c)).
+    engine's gamma until the convention is decided (the ROADMAP item on the
+    Schur convention).
     """
     return np.cos(np.asarray(angles, dtype=np.float64))
 

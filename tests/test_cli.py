@@ -183,6 +183,9 @@ NAN_CASES = {
     # the transparent cell: the default min_modulus exits 2 here
     "min-modulus-nan": ["winding", "--theta-a", "1.5707963267948966", "--theta-b",
                         "1.5707963267948966", "--n", "34", "--min-modulus", "nan"],
+    # a ring above half the point budget would leave refinement no room
+    "samples-above-half-the-budget": ["winding", "--theta-a", "1.0", "--theta-b", "0.4",
+                                      "--n", "34", "--samples", "1048578"],
 }
 
 
@@ -321,6 +324,23 @@ def test_missing_config_file(capsys):
     code, _, err = run(capsys, "winding", "--config", "/nonexistent.json")
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("case", ["config-directory", "output-directory-missing",
+                                  "gaps-output-directory-missing"])
+def test_unusable_files_exit_one_naming_the_path(case, tmp_path, capsys):
+    cell = ["--theta-a", "1.0", "--theta-b", "0.4", "--n", "34"]
+    missing = str(tmp_path / "missing" / "out.csv")
+    argv, path = {
+        "config-directory": (["winding", "--config", str(tmp_path)], str(tmp_path)),
+        "output-directory-missing": (["winding", *cell, "--output", missing], missing),
+        "gaps-output-directory-missing": (
+            ["spectrum", *cell, "--output", str(tmp_path / "s.csv"), "--gaps-output", missing],
+            missing),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert path in err and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 ROUND_TRIP_ARGS = {

@@ -117,14 +117,15 @@ def test_synthetic_monomials(k, s):
 
 @pytest.mark.parametrize("contour,message", [
     ({"samples": 8}, "samples must be >= 16"),
+    ({"samples": 2**20 + 1}, "samples must be <= 1048576"),
     ({"samples": 64.5}, "samples must be an integer"),
     ({"min_modulus": float("nan")}, "min_modulus must be > 0"),
     ({"min_modulus": 0.0}, "min_modulus must be > 0"),
     ({"max_refine_depth": -1}, "max_refine_depth must be >= 0"),
     ({"max_refine_depth": float("nan")}, "max_refine_depth must be >= 0"),
     ({"max_refine_depth": 2.5}, "max_refine_depth must be an integer"),
-], ids=["few-samples", "fractional-samples", "nan-modulus", "zero-modulus",
-        "negative-depth", "nan-depth", "fractional-depth"])
+], ids=["few-samples", "samples-above-half-the-budget", "fractional-samples", "nan-modulus",
+        "zero-modulus", "negative-depth", "nan-depth", "fractional-depth"])
 def test_contour_checks_its_settings(contour, message):
     with pytest.raises(ValueError, match=message):
         Contour(**contour)
@@ -518,39 +519,27 @@ class ReferenceContour:
     insertion every round, with every interval re-tested: the plain form of
     the refinement, kept as a reference for the batched one.
 
-    With upper_half the contour is the closed upper arc: the whole ring's
-    angles up to pi (pi itself last on an even ring), each interval standing
-    for itself and its mirror image.  An odd ring's last point is joined to
-    its mirror by the crossing interval, which ends on conj f, splits at pi
-    (z = -1 exactly) and keeps only its left half."""
+    The contour starts from the ring's angles with pi among them, which an
+    odd ring gains; pi is z = -1 exactly.  With upper_half it is the closed
+    upper arc, the angles below pi and then pi, each interval standing for
+    itself and its mirror image."""
 
     def __init__(self, samples, min_modulus, max_refine_depth, upper_half=False):
         self.min_modulus = min_modulus
         self.max_refine_depth = max_refine_depth
         self.fold = 2 if upper_half else 1
-        self.angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        if upper_half:
-            self.angles = self.angles[: samples // 2 + 1]
-            if samples % 2 == 0:
-                self.angles[-1] = np.pi
-        self.crossing = upper_half and self.angles[-1] < np.pi
+        ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+        below, above = ring[: (samples + 1) // 2], ring[samples // 2 + 1 :]
+        self.angles = np.concatenate([below, [np.pi]] + ([] if upper_half else [above]))
         self.fvals = None
         self.exhausted = False
         self.pending = self.angles
 
     def points(self):
-        """The pending points; on the upper arc pi is z = -1 exactly."""
+        """The pending points, with pi at z = -1 exactly."""
         z = np.exp(1j * self.pending)
-        if self.fold == 2:
-            z[self.pending == np.pi] = -1.0
+        z[self.pending == np.pi] = -1.0
         return z
-
-    def weights(self):
-        """The contour intervals each interval stands for."""
-        weights = np.full(len(self.angles) - 1, self.fold)
-        if self.crossing:
-            weights[-1] = 1
-        return weights
 
     def absorb(self, vals, derivs):
         if self.fvals is None:
@@ -563,10 +552,6 @@ class ReferenceContour:
                 self.angles = np.append(self.angles, 2.0 * np.pi)
                 self.fvals = np.append(vals, vals[0])
                 self.logd = np.append(ld_ring, ld_ring[0])
-            elif self.crossing:  # joined to the last point's mirror
-                self.angles = np.append(self.angles, 2.0 * np.pi - self.angles[-1])
-                self.fvals = np.append(vals, np.conj(vals[-1]))
-                self.logd = np.append(ld_ring, ld_ring[-1])
             self.depth = np.zeros(len(self.angles) - 1, dtype=np.int64)
             self.min_abs = float(np.min(np.abs(self.fvals)))
             return
@@ -577,10 +562,6 @@ class ReferenceContour:
         self.logd = np.insert(self.logd, at, _logd(vals, derivs))
         self.depth = np.repeat(np.where(self.splitting, self.depth + 1, self.depth),
                                np.where(self.splitting, 2, 1))
-        if self.crossing and self.splitting[-1]:  # the right half is the left's mirror
-            self.angles, self.fvals, self.logd = self.angles[:-1], self.fvals[:-1], self.logd[:-1]
-            self.depth = self.depth[:-1]
-            self.crossing = False
 
     def bisect(self):
         mods = np.abs(self.fvals)
@@ -595,20 +576,17 @@ class ReferenceContour:
         if not splittable.any():
             self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
             return False
-        weights = self.weights()
-        if weights.sum() + 1 + weights[splittable].sum() > 1 << 21:
+        if self.fold * (self.depth.size + splittable.sum()) + 1 > 1 << 21:
             self.exhausted = True
             return False
         self.splitting = splittable
         self.split_at = np.flatnonzero(splittable)
         self.pending = (self.angles[self.split_at] + self.angles[self.split_at + 1]) / 2.0
-        if self.crossing and splittable[-1]:
-            self.pending[-1] = np.pi
         return True
 
     def result(self):
         increments = np.angle(self.fvals[1:] / self.fvals[:-1])
-        raw = float(np.sum(self.weights() * increments) / (2.0 * np.pi))
+        raw = float(np.sum(self.fold * increments) / (2.0 * np.pi))
         winding = round(raw)
         ambiguous = (self.exhausted or self.min_abs < self.min_modulus
                      or abs(raw - winding) > _RESIDUAL_GUARD)
@@ -675,10 +653,10 @@ def _reference_batches():
         ("plain", silent, Contour(512)),
     ):
         batches[f"limits-{name}"] = [SchurParams(g, contour=contour) for g in (generic, early)]
-    # a pole that no point of the 17-point ring sees, and the first round's
-    # midpoint z = -1 hits, beside a member that refines plainly
+    # a pole at z = i, between points 4 and 5 of the 18-point ring, which
+    # the first round's midpoint hits, beside a member that refines plainly
     late_pole = [0.0, -0.9, -(1.0 - 5e-15), -1.0]
-    batches["limits-late-pole"] = [SchurParams(g, steps_per_site=1, contour=Contour(17))
+    batches["limits-late-pole"] = [SchurParams(g, steps_per_site=2, contour=Contour(18))
                                    for g in (late_pole, [0.3, 0.5, 0.2, -0.4])]
     return batches
 
@@ -701,7 +679,7 @@ def test_the_limit_cases_are_hit():
     assert silent[0] == "NoReflectionError"
     assert settled[0] == 4 and settled[3:] == (0, False)
     late_pole, plain_member = REFERENCE_BATCHES["limits-late-pole"]
-    assert 0.99 < np.abs(schur_eval(late_pole, circle(17))).min() <= 1.0
+    assert 0.99 < np.abs(schur_eval(late_pole, circle(18))).min() <= 1.0
     batched = [_outcome(r) for r in winding_numbers([late_pole, plain_member])]
     assert batched[0][0] == "PoleOnContourError" and "recursion step 2 " in batched[0][1]
     assert batched == [_alone(late_pole), _alone(plain_member)]
@@ -735,11 +713,11 @@ def test_the_upper_arc_agrees_with_the_whole_circle():
         assert arc == [_kind(o) for o in _reference_windings(batch, upper_half=False)]
 
 
-def test_the_late_pole_is_found_where_the_crossing_interval_splits():
-    # The 17-point arc ends at 16 pi / 17; its crossing interval splits at pi
-    # in the first round, and z = -1 hits the pole there.
+def test_the_late_pole_is_found_at_a_first_round_midpoint():
+    # The 18-point arc is 9 points below pi and pi; the interval from 4 pi / 9
+    # to 5 pi / 9 splits in the first round, and z = i hits the pole there.
     late_pole, _ = REFERENCE_BATCHES["limits-late-pole"]
-    evaluate = _chain_evaluator([late_pole.gammas], 1)
+    evaluate = _chain_evaluator([late_pole.gammas], 2)
     rounds = []
 
     def recording(z, owner):
@@ -750,8 +728,8 @@ def test_the_late_pole_is_found_where_the_crossing_interval_splits():
     (result,) = _refine(recording, 1, late_pole.contour)
     assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
     (ring, _, ring_errors), (z, f, errors) = rounds
-    assert ring.size == 9 and not ring_errors and list(errors) == [0]
-    assert np.array_equal(z[np.isnan(f)], [-1.0])
+    assert ring.size == 10 and not ring_errors and list(errors) == [0]
+    assert np.array_equal(z[np.isnan(f)], [np.exp(0.5j * np.pi)])
 
 
 CONJUGATION_CHAINS = {
