@@ -7,7 +7,8 @@ reproduce the primary output byte for byte.  Explicit flags override
 config-file values, which override the built-in defaults.  Each
 subcommand is declared once, on its runner.
 
-Exit codes: 0 success, 1 validation error, 2 computation error.
+Exit codes: 0 success, 1 validation error, 2 computation error (a broken
+worker pool included).  A call that fails leaves none of its output files.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -540,11 +542,12 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _CliError(parser.format_usage() + "error: a subcommand is required")
         params = _effective_params(args.command, args)
-        summary, results = _COMMANDS[args.command].run(params)
-        _write_sidecar(args.command, params, results)
+        with output.all_or_nothing():
+            summary, results = _COMMANDS[args.command].run(params)
+            _write_sidecar(args.command, params, results)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except ComputationError as exc:
+    except (ComputationError, BrokenProcessPool) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # _CliError, and a file that cannot be read or written

@@ -8,6 +8,7 @@ depend on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -39,7 +40,7 @@ def write_table(path, header: list[str], rows: list[list], fmt_style: str) -> No
     if fmt_style == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        _write(path, "\n".join(lines) + "\n")
     elif fmt_style == "json":
         doc = {"columns": header, "rows": [[_jsonable(c) for c in row] for row in rows]}
         write_json(path, doc)
@@ -59,7 +60,32 @@ def _jsonable(value):
 
 
 def write_json(path, document: dict) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+_written: list[Path] | None = None  # the files opened inside all_or_nothing()
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w") as fh:
+        if _written is not None:
+            _written.append(Path(path))
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def all_or_nothing():
+    """Remove every file written inside the block when the block raises."""
+    global _written
+    _written = []
+    try:
+        yield
+    except BaseException:
+        for path in _written:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        _written = None
 
 
 def spectrum_rows(

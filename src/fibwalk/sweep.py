@@ -7,6 +7,13 @@ parameters, bitwise the same whatever its block or the worker count;
 per-cell computation failures become cell statuses instead of aborting
 the sweep.
 
+Pooled maps share one process pool per process.  Its workers are forked
+at the first pooled map and reused by every later one, so they see module
+state as of that first map.  A map uses at most one worker per block; a
+map with another worker count replaces the pool, and a map whose pool
+breaks runs once more on a fresh pool.  concurrent.futures shuts the pool
+down at interpreter exit.
+
 An MCD block is one mcd_block_series call, which steps all its cells as
 one array; blocks are capped by an amplitude budget.
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -75,6 +83,9 @@ _MCD_BLOCK_AMPLITUDES = 2 ** 15
 # (2-core host, two runs each).
 _WINDING_BLOCK_CELLS = 32
 
+# (workers, executor) of the pool that pooled maps reuse; None before the first.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -121,11 +132,35 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers, made at its first use.
+
+    A pool of another size is shut down first, which joins its manager
+    thread, so no executor thread is alive when the new pool forks.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _release_pool()
+    if _pool is None:
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _release_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
 def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     """block_fn over consecutive blocks of cells, its results joined in cell order.
 
     block_fn maps a list of cells to a list of results.  A block holds at
     most max_block cells and at most a worker's share, and at least one cell.
+    More than one block on more than one worker runs on the process's
+    reused pool, of min(workers, blocks) workers; when that pool breaks,
+    the blocks run once more on a fresh one, and a second break propagates.
     """
     if workers is None:  # the CPUs this process may run on: a cpuset may hold fewer
         if hasattr(os, "sched_getaffinity"):
@@ -138,8 +173,14 @@ def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     blocks = [cells[i:i + size] for i in range(0, len(cells), size)]
     if workers <= 1 or len(blocks) < 2:
         return [result for block in blocks for result in block_fn(block)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [result for done in pool.map(block_fn, blocks) for result in done]
+    for retry in (False, True):
+        try:
+            done = _executor(min(workers, len(blocks))).map(block_fn, blocks)
+            return [result for block in done for result in block]
+        except BrokenProcessPool:  # a worker died; blocks are pure, so rerun them
+            _release_pool()
+            if retry:
+                raise
 
 
 def _diagram(grid, kind, termination, results) -> PhaseDiagram:

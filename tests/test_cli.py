@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,21 @@ def test_mcd_map_rejects_empty_window_before_any_cell(tmp_path, capsys, monkeypa
     )
     assert code == 1
     assert "steps must be >= 1" in err
+    assert not out_path.exists()
+
+
+def test_a_broken_worker_pool_is_a_computation_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("A child process terminated abruptly")
+
+    monkeypatch.setattr("fibwalk.sweep._run_blocks", broken)
+    out_path = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys, "mcd-map", "--resolution", "2", "--n", "64", "--steps", "8",
+        "--workers", "2", "--output", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: ") and len(err.splitlines()) == 1
     assert not out_path.exists()
 
 
@@ -327,20 +343,25 @@ def test_missing_config_file(capsys):
 
 
 @pytest.mark.parametrize("case", ["config-directory", "output-directory-missing",
-                                  "gaps-output-directory-missing"])
+                                  "gaps-output-directory-missing", "sidecar-is-a-directory"])
 def test_unusable_files_exit_one_naming_the_path(case, tmp_path, capsys):
     cell = ["--theta-a", "1.0", "--theta-b", "0.4", "--n", "34"]
     missing = str(tmp_path / "missing" / "out.csv")
+    written = tmp_path / "s.csv"
+    sidecar = tmp_path / "s.csv.meta.json"
     argv, path = {
         "config-directory": (["winding", "--config", str(tmp_path)], str(tmp_path)),
         "output-directory-missing": (["winding", *cell, "--output", missing], missing),
         "gaps-output-directory-missing": (
-            ["spectrum", *cell, "--output", str(tmp_path / "s.csv"), "--gaps-output", missing],
-            missing),
+            ["spectrum", *cell, "--output", str(written), "--gaps-output", missing], missing),
+        "sidecar-is-a-directory": (["winding", *cell, "--output", str(written)], str(sidecar)),
     }[case]
+    if case == "sidecar-is-a-directory":
+        sidecar.mkdir()
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert path in err and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not written.exists()  # a failed call leaves none of its outputs
 
 
 ROUND_TRIP_ARGS = {

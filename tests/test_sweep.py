@@ -1,4 +1,9 @@
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +235,83 @@ def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
     diagram = sweep_winding(GridSpec(resolution=2), workers=None)
     assert len(diagram.statuses) == 4
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs blocks in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+    def shutdown(self):
+        pass
+
+
+def test_a_map_starts_no_more_workers_than_blocks(monkeypatch):
+    monkeypatch.setattr(sweep, "_pool", None)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    grid = GridSpec(**FLAGSHIP, resolution=2)
+    serial = sweep_winding(grid, n_sites=34)
+    capped = sweep_winding(grid, n_sites=34, workers=8)  # four one-cell blocks
+    assert _RecordingPool.sizes == [4]
+    assert capped.values.tobytes() == serial.values.tobytes()
+    sweep_winding(grid, n_sites=34, workers=3)  # blocks of two cells
+    assert _RecordingPool.sizes == [4, 2]
+
+
+def _worker_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_pooled_maps_reuse_one_pool_until_the_worker_count_changes():
+    grid = GridSpec(**FLAGSHIP, resolution=3)
+    mcd = sweep_mcd(grid, n_sites=64, steps=20, workers=2)
+    first = _worker_pids()
+    winding = sweep_winding(grid, n_sites=34, workers=2)
+    assert _worker_pids() == first and len(first) == 2
+    sweep_mcd(grid, n_sites=64, steps=20, workers=3)  # three blocks of three cells
+    third = _worker_pids()
+    assert len(third) == 3 and not set(first) & set(third)
+    assert sweep_mcd(grid, n_sites=64, steps=20).values.tobytes() == mcd.values.tobytes()
+    assert sweep_winding(grid, n_sites=34).values.tobytes() == winding.values.tobytes()
+
+
+def test_a_map_after_a_worker_is_killed_gives_the_serial_bytes():
+    grid = GridSpec(**FLAGSHIP, resolution=3)
+    serial = sweep_mcd(grid, n_sites=64, steps=20)
+    sweep_mcd(grid, n_sites=64, steps=20, workers=2)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    again = sweep_mcd(grid, n_sites=64, steps=20, workers=2)
+    assert again.values.tobytes() == serial.values.tobytes()
+    assert again.statuses == serial.statuses
+    assert victim.pid not in _worker_pids()
+
+
+def test_an_interpreter_with_a_pool_exits_and_leaves_no_worker():
+    script = (
+        "import multiprocessing\n"
+        "from fibwalk.sweep import GridSpec, sweep_mcd, sweep_winding\n"
+        "sweep_mcd(GridSpec(resolution=2), 64, 20, workers=2)\n"
+        "sweep_winding(GridSpec(resolution=2), n_sites=34, workers=2)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.slow
