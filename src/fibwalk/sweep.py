@@ -9,10 +9,12 @@ the sweep.
 
 Pooled maps share one process pool per process.  Its workers are forked
 at the first pooled map and reused by every later one, so they see module
-state as of that first map.  A map uses at most one worker per block; a
-map with another worker count replaces the pool, and a map whose pool
-breaks runs once more on a fresh pool.  concurrent.futures shuts the pool
-down at interpreter exit.
+state as of that first map.  A map starts no more workers than it has
+blocks.  A pool is reused by any map whose blocks it can hold without
+exceeding the map's worker count; a map that needs more workers, or asks
+for fewer than the pool has, replaces it.  A map whose pool breaks runs
+once more on a fresh pool.  concurrent.futures shuts the pool down at
+interpreter exit.
 
 An MCD block is one mcd_block_series call, which steps all its cells as
 one array; blocks are capped by an amplitude budget.
@@ -83,7 +85,7 @@ _MCD_BLOCK_AMPLITUDES = 2 ** 15
 # (2-core host, two runs each).
 _WINDING_BLOCK_CELLS = 32
 
-# (workers, executor) of the pool that pooled maps reuse; None before the first.
+# (size, executor) of the pool that pooled maps reuse; None before the first.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
 
 
@@ -132,17 +134,19 @@ class PhaseDiagram:
     termination: str  # the termination's label, or the ensemble's joined by '+'
 
 
-def _executor(workers: int) -> ProcessPoolExecutor:
-    """The process's pool of `workers` workers, made at its first use.
+def _executor(need: int, workers: int) -> ProcessPoolExecutor:
+    """The process's pool, of between `need` and `workers` workers.
 
-    A pool of another size is shut down first, which joins its manager
-    thread, so no executor thread is alive when the new pool forks.
+    The cached pool serves when its size is in that range: a map of `need`
+    blocks never occupies more than `need` workers.  Otherwise a pool of
+    `need` workers replaces it; the old one is shut down first, which joins
+    its manager thread, so no executor thread is alive when the new pool forks.
     """
     global _pool
-    if _pool is not None and _pool[0] != workers:
+    if _pool is not None and not need <= _pool[0] <= workers:
         _release_pool()
     if _pool is None:
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        _pool = (need, ProcessPoolExecutor(max_workers=need))
     return _pool[1]
 
 
@@ -159,8 +163,9 @@ def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
     block_fn maps a list of cells to a list of results.  A block holds at
     most max_block cells and at most a worker's share, and at least one cell.
     More than one block on more than one worker runs on the process's
-    reused pool, of min(workers, blocks) workers; when that pool breaks,
-    the blocks run once more on a fresh one, and a second break propagates.
+    reused pool, of at least min(workers, blocks) and at most workers
+    workers; when that pool breaks, the blocks run once more on a fresh
+    one, and a second break propagates.
     """
     if workers is None:  # the CPUs this process may run on: a cpuset may hold fewer
         if hasattr(os, "sched_getaffinity"):
@@ -175,7 +180,7 @@ def _run_blocks(block_fn, cells, workers: int | None, max_block: int):
         return [result for block in blocks for result in block_fn(block)]
     for retry in (False, True):
         try:
-            done = _executor(min(workers, len(blocks))).map(block_fn, blocks)
+            done = _executor(min(workers, len(blocks)), workers).map(block_fn, blocks)
             return [result for block in done for result in block]
         except BrokenProcessPool:  # a worker died; blocks are pure, so rerun them
             _release_pool()

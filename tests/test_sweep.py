@@ -265,6 +265,17 @@ def test_a_map_starts_no_more_workers_than_blocks(monkeypatch):
     assert _RecordingPool.sizes == [4, 2]
 
 
+def test_a_pool_serves_every_map_it_can_hold(monkeypatch):
+    monkeypatch.setattr(sweep, "_pool", None)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for blocks in (3, 4, 3):  # one-cell blocks at workers=4: the pool grows once
+        assert _run_blocks(lambda block: block, list(range(blocks)), 4, 1) == list(range(blocks))
+    assert _RecordingPool.sizes == [3, 4]
+    _run_blocks(lambda block: block, list(range(3)), 2, 1)  # four workers exceed two
+    assert _RecordingPool.sizes == [3, 4, 2]
+
+
 def _worker_pids() -> list[int]:
     return sorted(p.pid for p in multiprocessing.active_children())
 
@@ -293,6 +304,21 @@ def test_a_map_after_a_worker_is_killed_gives_the_serial_bytes():
     assert again.values.tobytes() == serial.values.tobytes()
     assert again.statuses == serial.statuses
     assert victim.pid not in _worker_pids()
+
+
+def test_pooled_maps_see_module_state_as_of_the_fork(monkeypatch):
+    grid = GridSpec(**FLAGSHIP, resolution=3)
+    sweep._release_pool()
+    sweep_mcd(grid, n_sites=64, steps=20, workers=2)  # forks the pool
+    monkeypatch.setattr(walk, "NORM_TOLERANCE", -1.0)  # fails every norm check
+    try:
+        stale = sweep_mcd(grid, n_sites=64, steps=20, workers=2)
+        assert stale.statuses == [STATUS_OK] * 9  # the workers kept the old tolerance
+        sweep._release_pool()
+        fresh = sweep_mcd(grid, n_sites=64, steps=20, workers=2)
+        assert fresh.statuses == [STATUS_ERROR] * 9
+    finally:
+        sweep._release_pool()  # its workers hold the patched tolerance
 
 
 def test_an_interpreter_with_a_pool_exits_and_leaves_no_worker():
