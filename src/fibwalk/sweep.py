@@ -137,8 +137,8 @@ class PhaseDiagram:
 def _executor(need: int, workers: int) -> ProcessPoolExecutor:
     """The process's pool, of between `need` and `workers` workers.
 
-    The cached pool serves when its size is in that range: a map of `need`
-    blocks never occupies more than `need` workers.  Otherwise a pool of
+    The cached pool serves when its size is in that range: a map never
+    occupies more workers than it has blocks.  Otherwise a pool of
     `need` workers replaces it; the old one is shut down first, which joins
     its manager thread, so no executor thread is alive when the new pool forks.
     """
