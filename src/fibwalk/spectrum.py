@@ -11,11 +11,15 @@ With real boundary phases (the default) U is real, and the walk's
 site-local chiral operator Gamma (see walk.chiral_frames) maps U to
 U^dagger.  So H commutes with Gamma and A anticommutes with it: in the
 per-site Gamma = +1 and -1 spinors, H is two N x N sector blocks and A
-only couples the sectors.  The solver diagonalises the two blocks on
-their own, takes A V from A's two off-sector blocks, and lifts each
-eigenvector to site amplitudes in O(N); everything but the small
-cluster rotations is real.  A complex U has no such split and is solved
-as one 2N x 2N sector.  Quasienergies live on the circle (-pi, pi].
+only couples the sectors.  U couples only neighbouring sites, so these
+blocks are tridiagonal, and their diagonals are read from one step of six
+probe walkers; the dense U is never built.  The solver diagonalises the
+two blocks on their own, takes A V from A's two off-sector blocks, and
+lifts each eigenvector to site amplitudes in O(N).  A cluster of more
+than two states is split by a real SVD of its cross-sector block;
+everything but the cluster rotations is real.  A complex U has no such
+split: it is built densely and solved as one 2N x 2N sector.
+Quasienergies live on the circle (-pi, pi].
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import numpy as np
 
 from .errors import SolverConvergenceError
 from .sequence import GOLDEN_RATIO_INV
-from .walk import WalkConfig, build_unitary, chiral_frames, stepper
+from .walk import WalkConfig, _real_phases, build_unitary, chiral_frames, stepper
 
 MAX_DENSE_SITES = 5000
 RESIDUAL_TOLERANCE = 1e-8
 RESIDUAL_BLOCK = 128  # states per step of the residual check: bounds its temporaries
+ASSEMBLY_BLOCK = 128  # states written to site amplitudes per step: bounds their temporaries
 # cos E values closer than this share one joint-diagonalization cluster.
 # Near-degenerate pairs just outside the cluster would come out of eigh
 # with mixed eigenvectors (error ~ eps/gap) and break the 1e-8 residual
@@ -118,20 +123,40 @@ def _boundary_masses(states: np.ndarray, n_sites: int, m: int) -> tuple[np.ndarr
     return left, right
 
 
-def _sector_blocks(u: np.ndarray, frames: np.ndarray):
+def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> np.ndarray:
     """H's (+, +) and (-, -) blocks and A's (+, -) block of a real U, in the chiral frames.
 
-    With F the block-diagonal frames, block (a, b) of F^T U F is the N x N
-    array sum over coins c, d of F[a, :, c] U[c::2, d::2] F[b, :, d], made
-    here by slicing U.  H's blocks are the symmetric parts of (+, +) and
-    (-, -); A's (+, -) block is ((+, -) - (-, +)^T)/2, and A's (-, +) block
-    is minus its transpose.
+    With F the block-diagonal frames, block (a, b) of F^T U F has the
+    entries sum over coins c, d of F[a, x, c] U[(x, c), (y, d)] F[b, y, d].
+    U couples only neighbouring sites, so one real step of six probe
+    walkers, coin d on every third site from offset o, reads all of
+    U[(x, c), (x + k, d)] for k = -1, 0, 1: site x + k is the one probed
+    site within reach of x.  H's blocks are the symmetric parts of (+, +)
+    and (-, -); A's (+, -) block is ((+, -) - (-, +)^T)/2, and A's (-, +)
+    block is minus its transpose.  Returned as one (3, N, N) stack, zero
+    off the three diagonals.
     """
-    rows = [[frames[a, :, 0, None] * u[0::2, d::2] + frames[a, :, 1, None] * u[1::2, d::2]
-             for d in (0, 1)] for a in (0, 1)]
-    w = [[rows[a][0] * frames[b, :, 0] + rows[a][1] * frames[b, :, 1] for b in (0, 1)]
-         for a in (0, 1)]
-    return (w[0][0] + w[0][0].T) / 2.0, (w[1][1] + w[1][1].T) / 2.0, (w[0][1] - w[1][0].T) / 2.0
+    n = config.n_sites
+    if n < 2:  # the dense operator's limit, kept for the real path that builds none
+        raise ValueError(f"build_unitary needs n_sites >= 2, got {n}")
+    probes = np.zeros((3, 2, 2, n))  # [offset o, probed coin d, coin, site]
+    for o in range(3):
+        probes[o, 0, 0, o::3] = probes[o, 1, 1, o::3] = 1.0
+    stepped = stepper(config, np.float64)(probes)
+    w = {}  # w[k][a, b, i]: block (a, b) at site pair (x, x + k), x the i-th site with a partner
+    for k in (-1, 0, 1):
+        x = np.arange(max(0, -k), n - max(0, k))
+        g = stepped[(x + k) % 3, :, :, x]  # g[i, d, c] = U[(x, c), (x + k, d)]
+        fx, fy = frames[:, x], frames[:, x + k]
+        rows = fx[:, :, 0, None] * g[None, :, :, 0] + fx[:, :, 1, None] * g[None, :, :, 1]
+        w[k] = rows[:, None, :, 0] * fy[None, :, :, 0] + rows[:, None, :, 1] * fy[None, :, :, 1]
+    blocks = np.zeros((3, n, n))
+    x = np.arange(n)
+    for block, (a, b, sign) in zip(blocks, ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0))):
+        block[x, x] = (w[0][a, b] + sign * w[0][b, a]) / 2.0
+        block[x[:-1], x[1:]] = (w[1][a, b] + sign * w[-1][b, a]) / 2.0
+        block[x[1:], x[:-1]] = (w[-1][a, b] + sign * w[1][b, a]) / 2.0
+    return blocks
 
 
 @dataclass
@@ -159,8 +184,8 @@ class _Eigenbasis:
         return cls(cos, basis.T, anti.T)
 
     @classmethod
-    def chiral(cls, u: np.ndarray, frames: np.ndarray) -> _Eigenbasis:
-        h_plus, h_minus, a_pm = _sector_blocks(u, frames)
+    def chiral(cls, blocks: np.ndarray, frames: np.ndarray) -> _Eigenbasis:
+        h_plus, h_minus, a_pm = blocks
         cos_p, v_p = np.linalg.eigh(h_plus)
         cos_m, v_m = np.linalg.eigh(h_minus)
         # A takes a + vector v to -a_pm^T v and a - vector w to a_pm w.
@@ -176,6 +201,38 @@ class _Eigenbasis:
         sector = self.sector[rows]
         return small * (sector[:, :, None] != sector[:, None, :])
 
+    def split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sin E values, ascending, and the rotation of one cluster's rows that resolves them.
+
+        These are the eigenpairs of the Hermitian part of -i V_blk^dagger A V_blk.
+        For a real U that block is -i [[0, X], [-X^T, 0]] across the two
+        sectors, X = (B_+- - B_-+^T)/2, and X = P S Q^T gives the values
+        +-s with vectors (p, +-i q)/sqrt(2), and zeros from X's null space:
+        a real SVD instead of a complex eigh.  A cluster with one sector
+        empty has a zero block and keeps its rows.
+        """
+        if self.frames is None:
+            return _hermitian_eigh(-1j * self.blocks(rows[None])[0])
+        plus = np.flatnonzero(self.sector[rows] == 0)
+        minus = np.flatnonzero(self.sector[rows] == 1)
+        size, k = len(rows), min(len(plus), len(minus))
+        if k == 0:
+            return np.zeros(size), np.eye(size, dtype=np.complex128)
+        rp, rm = rows[plus], rows[minus]
+        x = (self.basis[rp] @ self.anti[rm].T - (self.basis[rm] @ self.anti[rp].T).T) / 2.0
+        p, sv, qt = np.linalg.svd(x)
+        rot = np.zeros((size, size), dtype=np.complex128)
+        cols, q = np.arange(size), qt[:k].T * math.sqrt(0.5)
+        rot[plus[:, None], cols[:2 * k]] = np.tile(p[:, :k] * math.sqrt(0.5), 2)
+        rot[minus[:, None], cols[:2 * k]] = np.concatenate([1j * q, -1j * q], axis=1)
+        if len(plus) > k:
+            rot[plus[:, None], cols[2 * k:]] = p[:, k:]
+        else:
+            rot[minus[:, None], cols[2 * k:]] = qt[k:].T
+        values = np.concatenate([sv, -sv, np.zeros(size - 2 * k)])
+        ascending = np.argsort(values, kind="stable")
+        return values[ascending], rot[:, ascending]
+
     def lift(self, rows: np.ndarray) -> np.ndarray:
         """Site amplitudes of the given rows, shape rows.shape + (2N,)."""
         if self.frames is None:
@@ -190,7 +247,7 @@ def _hermitian_eigh(small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _turn(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rot^T @ rows for each (m, m) rotation and (m, 2N) row block of two stacks.
+    """rot^T @ rows for each (m, j) rotation and (m, 2N) row block of two stacks.
 
     Real rows meet rot's real and imaginary parts in two real products
     instead of being copied to complex first.
@@ -198,7 +255,7 @@ def _turn(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rot = rot.swapaxes(-1, -2)
     if np.iscomplexobj(rows):
         return rot @ rows
-    out = np.empty(rows.shape, dtype=np.complex128)
+    out = np.empty(rot.shape[:-1] + rows.shape[-1:], dtype=np.complex128)
     out.real = rot.real @ rows
     out.imag = rot.imag @ rows
     return out
@@ -223,26 +280,25 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
 
     A real U is solved in its two chiral sectors: two N x N eigh calls of
     H's sector blocks instead of one 2N x 2N, with A V from A's N x N
-    off-sector blocks.  A complex U is one sector.  Each cluster of equal
-    cos E is split by sin E, and each eigenvector is written to site
-    amplitudes straight in its sorted slot.  The eigen-residuals
-    ||U psi - lambda psi|| take U psi from the matrix-free walk step.
-    Raises SolverConvergenceError if any exceeds 1e-8, or if U is not
-    finite.
+    off-sector blocks, all three read from probe steps rather than from a
+    dense U.  A complex U is built and solved as one sector.  Each cluster
+    of equal cos E is split by sin E, and each eigenvector is written to
+    site amplitudes straight in its sorted slot, a block of states at a
+    time.  The eigen-residuals ||U psi - lambda psi|| take U psi from the
+    matrix-free walk step.  Raises SolverConvergenceError if any exceeds
+    1e-8, or if the operator is not finite, and ValueError below two sites.
     """
     if config.n_sites > MAX_DENSE_SITES:
         raise ValueError(
             f"dense solver limited to {MAX_DENSE_SITES} sites, got {config.n_sites}"
         )
     m = _edge_sites(config.n_sites, edge_sites)
-    u = build_unitary(config)
-    if not np.isfinite(u).all():  # LAPACK may raise on NaN rather than return it
+    frames = chiral_frames(config) if _real_phases(config) else None
+    ops = build_unitary(config) if frames is None else _sector_blocks(config, frames)
+    if not np.isfinite(ops).all():  # LAPACK may raise on NaN rather than return it
         _check_residual(math.nan, config)
-    if np.iscomplexobj(u):
-        eig = _Eigenbasis.full(u)
-    else:
-        eig = _Eigenbasis.chiral(u, chiral_frames(config))
-    del u
+    eig = _Eigenbasis.full(ops) if frames is None else _Eigenbasis.chiral(ops, frames)
+    del ops
 
     # Joint eigenbasis: inside each degenerate cos E cluster, resolve by the
     # skew part -iA (eigenvalues -sin E), then re-resolve the cos part, which
@@ -270,7 +326,7 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     turned = [(pairs[split], rot[split], sin_vals[split])]
     for c_lo, c_hi in zip(lo[hi - lo > 2], hi[hi - lo > 2]):
         cluster = np.arange(c_lo, c_hi)
-        sin_vals, rot = _hermitian_eigh(-1j * eig.blocks(order[cluster][None])[0])
+        sin_vals, rot = eig.split(order[cluster])
         if sin_vals[-1] - sin_vals[0] <= SUBCLUSTER_TOLERANCE:
             continue
         sin_mix = sin_vals.copy()
@@ -293,15 +349,22 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     slot[by_energy] = np.arange(len(by_energy))
     energies, lam = energies[by_energy], lam[by_energy]
 
-    # Site amplitudes, row k for energies[k], each written straight into its slot.
+    # Site amplitudes, row k for energies[k], each written straight into its
+    # slot; a large cluster's lifted rows are turned a block of columns at a time.
     n = config.n_sites
     vecs = np.empty((2 * n, 2 * n), dtype=np.complex128)
     kept = np.ones(2 * n, dtype=bool)
     for pos, rot, _ in turned:
         kept[pos] = False
-        vecs[slot[pos]] = _turn(rot, eig.lift(order[pos]))
+        stack = max(1, ASSEMBLY_BLOCK // pos.shape[1])
+        for k in range(0, len(pos), stack):
+            rows = eig.lift(order[pos[k:k + stack]])
+            for j in range(0, pos.shape[1], ASSEMBLY_BLOCK):
+                cols = slice(j, j + ASSEMBLY_BLOCK)
+                vecs[slot[pos[k:k + stack, cols]]] = _turn(rot[k:k + stack, :, cols], rows)
     kept = np.flatnonzero(kept)
-    vecs[slot[kept]] = eig.lift(order[kept])
+    for k in range(0, len(kept), ASSEMBLY_BLOCK):
+        vecs[slot[kept[k:k + ASSEMBLY_BLOCK]]] = eig.lift(order[kept[k:k + ASSEMBLY_BLOCK]])
     del eig
 
     # Residuals a block of states at a time, each state one (2, N) walker.

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import circle_multisets_close
 
-from fibwalk import spectrum
+from fibwalk import spectrum, walk
 from fibwalk.cli import main
 from fibwalk.errors import SolverConvergenceError
 from fibwalk.sequence import (
@@ -165,6 +167,20 @@ def test_sector_solve_matches_a_dense_reference(timeframe):
         assert spec.max_residual < 1e-8
 
 
+def dense_sector_blocks(u, frames):
+    """H's (+, +) and (-, -) blocks and A's (+, -) block, sliced from the dense real U.
+
+    Block (a, b) of F^T U F is sum over coins c, d of F[a, :, c] U[c::2, d::2]
+    F[b, :, d], with F the block-diagonal chiral frames.
+    """
+    rows = [[frames[a, :, 0, None] * u[0::2, d::2] + frames[a, :, 1, None] * u[1::2, d::2]
+             for d in (0, 1)] for a in (0, 1)]
+    w = [[rows[a][0] * frames[b, :, 0] + rows[a][1] * frames[b, :, 1] for b in (0, 1)]
+         for a in (0, 1)]
+    return np.stack([(w[0][0] + w[0][0].T) / 2.0, (w[1][1] + w[1][1].T) / 2.0,
+                     (w[0][1] - w[1][0].T) / 2.0])
+
+
 @pytest.mark.parametrize("timeframe", list(Timeframe))
 def test_hamiltonian_has_no_off_sector_block(timeframe):
     for cfg in sector_configs(59, timeframe, 6):
@@ -180,10 +196,78 @@ def test_hamiltonian_has_no_off_sector_block(timeframe):
         a = q.T @ ((u - u.T) / 2.0) @ q
         assert np.max(np.abs(h[:n, n:])) < 1e-14
         assert np.max(np.abs(a[:n, :n])) < 1e-14 and np.max(np.abs(a[n:, n:])) < 1e-14
-        h_plus, h_minus, a_pm = spectrum._sector_blocks(u, frames)
+        h_plus, h_minus, a_pm = blocks = spectrum._sector_blocks(cfg, frames)
         assert np.allclose(h_plus, h[:n, :n], rtol=0.0, atol=1e-14)
         assert np.allclose(h_minus, h[n:, n:], rtol=0.0, atol=1e-14)
         assert np.allclose(a_pm, a[:n, n:], rtol=0.0, atol=1e-14)
+        # The probe steps form the same products in the same order as slicing
+        # the dense U, so the blocks agree bitwise (up to the sign of zeros).
+        assert np.array_equal(blocks, dense_sector_blocks(u, frames))
+
+
+def chiral_clusters(config):
+    """The real solver's sector eigenbasis and its cos E clusters of two or more rows."""
+    frames = chiral_frames(config)
+    eig = spectrum._Eigenbasis.chiral(spectrum._sector_blocks(config, frames), frames)
+    order = np.argsort(eig.cos, kind="stable")
+    lo, hi = spectrum._cluster_bounds(eig.cos[order], spectrum.CLUSTER_TOLERANCE)
+    return eig, [order[a:b] for a, b in zip(lo, hi) if b - a > 1]
+
+
+def check_split(eig, rows):
+    """The SVD split of rows against the complex eigh of their skew block."""
+    skew = -1j * eig.blocks(rows[None])[0]
+    ref_vals, _ = spectrum._hermitian_eigh(skew)
+    sin_vals, rot = eig.split(rows)
+    assert np.all(np.diff(sin_vals) >= 0.0)
+    assert np.allclose(sin_vals, ref_vals, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(rot.conj().T @ rot - np.eye(len(rows)))) < 1e-12
+    hermitian = (skew + skew.conj().T) / 2.0
+    assert np.max(np.abs(hermitian @ rot - rot * sin_vals)) < 1e-12
+    return sin_vals
+
+
+@pytest.mark.parametrize("config", [
+    fib_config(34, np.pi / 2, 0.0), fib_config(233, np.pi / 2, 0.0),
+    uniform_config(233, np.pi / 2), fib_config(233, 2.5, -1.0),
+], ids=["flagship-34", "flagship-233", "uniform-half-pi-233", "generic-233"])
+def test_svd_split_matches_the_skew_block_eigh(config):
+    eig, clusters = chiral_clusters(config)
+    assert clusters
+    for rows in clusters:
+        check_split(eig, rows)
+
+
+def test_svd_split_gives_one_zero_per_unpaired_state():
+    eig, clusters = chiral_clusters(fib_config(233, np.pi / 2, 0.0))
+    rows = max(clusters, key=len)
+    plus, minus = rows[eig.sector[rows] == 0], rows[eig.sector[rows] == 1]
+    for m_plus, m_minus in ((len(plus), len(minus) - 3), (len(plus) - 5, len(minus)),
+                            (len(plus), 0)):
+        sin_vals = check_split(eig, np.concatenate([plus[:m_plus], minus[:m_minus]]))
+        assert np.count_nonzero(sin_vals == 0.0) == abs(m_plus - m_minus)
+
+
+@pytest.mark.parametrize("n", [233, 377, 610])
+def test_flagship_edge_modes_match_the_dense_reference(n):
+    cfg = fib_config(n, np.pi / 2, 0.0)
+    modes, mode_energies = edge_mode_set(quasienergies(cfg))
+    ref_modes, ref_energies = edge_mode_set(dense_spectrum(cfg))
+    assert modes == ref_modes
+    assert np.allclose(mode_energies, ref_energies, rtol=0.0, atol=1e-12)
+
+
+# Measured peaks: 1.72x (generic) and 2.45x (flagship) the states' own bytes.
+@pytest.mark.parametrize("theta_a, theta_b, bound", [(1.1, 0.4, 2.0), (np.pi / 2, 0.0, 2.85)])
+def test_solver_memory_peak_is_bounded_by_the_states(theta_a, theta_b, bound):
+    cfg = fib_config(610, theta_a, theta_b)
+    tracemalloc.start()
+    try:
+        spec = quasienergies(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * spec.states.nbytes
 
 
 @pytest.mark.parametrize("timeframe", list(Timeframe))
@@ -234,10 +318,31 @@ def test_residual_guard_raises_with_the_config(tmp_path, monkeypatch, capsys):
 
 
 def test_residual_guard_raises_on_a_nan_operator(monkeypatch):
-    cfg = fib_config(13, 1.1, 0.4)
-    monkeypatch.setattr(spectrum, "build_unitary", lambda config: np.full((26, 26), np.nan))
-    with pytest.raises(SolverConvergenceError, match="eigen-residual nan"):
-        quasienergies(cfg)
+    factors = walk.step_factors
+
+    def nan_factors(config, dtype=np.complex128):
+        c, s, alpha_l, alpha_r = factors(config, dtype)
+        return np.full_like(c, np.nan), s, alpha_l, alpha_r
+
+    monkeypatch.setattr(walk, "step_factors", nan_factors)
+    for phase in (1.0, np.exp(0.3j)):  # the sector blocks, and the dense complex U
+        cfg = WalkConfig(13, CoinAngles(1.1, 0.4), standard_word(13), boundary_phase_left=phase)
+        with pytest.raises(SolverConvergenceError, match="eigen-residual nan"):
+            quasienergies(cfg)
+
+
+def test_one_site_is_rejected(tmp_path, capsys):
+    for phase in (1.0, np.exp(0.3j)):
+        cfg = WalkConfig(1, CoinAngles(1.0, 0.4), standard_word(1), boundary_phase_left=phase)
+        with pytest.raises(ValueError, match="needs n_sites >= 2, got 1"):
+            quasienergies(cfg)
+
+    out_path = tmp_path / "s.csv"
+    code = main(["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "1",
+                 "--output", str(out_path)])
+    assert code == 1
+    assert "needs n_sites >= 2, got 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_find_gaps_rejects_a_nan_width():
