@@ -19,13 +19,20 @@ lifts each eigenvector to site amplitudes in O(N).  A cluster of more
 than two states is split by a real SVD of its cross-sector block;
 everything but the cluster rotations is real.  A complex U has no such
 split: it is built densely and solved as one 2N x 2N sector.
+
+The eigenvectors are streamed, a block of states at a time, through the
+eigen-residual check and the edge masses, which are all the analysis
+reads; the 2N x 2N state matrix is assembled from the same stream only
+when a caller reads QuasienergySpectrum.states.
 Quasienergies live on the circle (-pi, pi].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -35,8 +42,7 @@ from .walk import WalkConfig, _real_phases, build_unitary, chiral_frames, steppe
 
 MAX_DENSE_SITES = 5000
 RESIDUAL_TOLERANCE = 1e-8
-RESIDUAL_BLOCK = 128  # states per step of the residual check: bounds its temporaries
-ASSEMBLY_BLOCK = 128  # states written to site amplitudes per step: bounds their temporaries
+STATE_BLOCK = 128  # states lifted, checked and measured per step: bounds their temporaries
 # cos E values closer than this share one joint-diagonalization cluster.
 # Near-degenerate pairs just outside the cluster would come out of eigh
 # with mixed eigenvectors (error ~ eps/gap) and break the 1e-8 residual
@@ -74,16 +80,30 @@ class QuasienergySpectrum:
     """All 2N eigenpairs of a walk unitary, sorted by quasienergy.
 
     left_mass and right_mass hold each state's probability on the
-    edge_sites leftmost and rightmost sites.
+    edge_sites leftmost and rightmost sites.  The states are assembled on
+    the first read of states: state_blocks yields (slots, rows) pairs, row
+    i holding the 2N site amplitudes of the state of energies[slots[i]],
+    and is dropped once they are written.
     """
 
     energies: np.ndarray
-    states: np.ndarray  # column k belongs to energies[k]
     left_mass: np.ndarray
     right_mass: np.ndarray
     config: WalkConfig
     edge_sites: int
     max_residual: float
+    state_blocks: Callable[[], Iterator[tuple[np.ndarray, np.ndarray]]] | None = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The eigenvectors as a (2N, 2N) array; column k belongs to energies[k]."""
+        size = 2 * self.config.n_sites
+        rows = np.empty((size, size), dtype=np.complex128)
+        for slots, block in self.state_blocks():
+            rows[slots] = block
+        self.state_blocks = None  # the factors are no longer needed
+        return rows.T
 
     @property
     def boundary_weights(self) -> np.ndarray:
@@ -123,7 +143,7 @@ def _boundary_masses(states: np.ndarray, n_sites: int, m: int) -> tuple[np.ndarr
     return left, right
 
 
-def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> np.ndarray:
+def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> Iterator[np.ndarray]:
     """H's (+, +) and (-, -) blocks and A's (+, -) block of a real U, in the chiral frames.
 
     With F the block-diagonal frames, block (a, b) of F^T U F has the
@@ -133,8 +153,10 @@ def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> np.ndarray:
     U[(x, c), (x + k, d)] for k = -1, 0, 1: site x + k is the one probed
     site within reach of x.  H's blocks are the symmetric parts of (+, +)
     and (-, -); A's (+, -) block is ((+, -) - (-, +)^T)/2, and A's (-, +)
-    block is minus its transpose.  Returned as one (3, N, N) stack, zero
-    off the three diagonals.
+    block is minus its transpose.  The three diagonals of each are formed
+    up front, and raise SolverConvergenceError if not finite; the blocks
+    are then yielded in that order as dense (N, N) arrays, zero off the
+    diagonals, each built only when asked for.
     """
     n = config.n_sites
     if n < 2:  # the dense operator's limit, kept for the real path that builds none
@@ -150,13 +172,19 @@ def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> np.ndarray:
         fx, fy = frames[:, x], frames[:, x + k]
         rows = fx[:, :, 0, None] * g[None, :, :, 0] + fx[:, :, 1, None] * g[None, :, :, 1]
         w[k] = rows[:, None, :, 0] * fy[None, :, :, 0] + rows[:, None, :, 1] * fy[None, :, :, 1]
-    blocks = np.zeros((3, n, n))
+    bands = [((w[0][a, b] + sign * w[0][b, a]) / 2.0,
+              (w[1][a, b] + sign * w[-1][b, a]) / 2.0,
+              (w[-1][a, b] + sign * w[1][b, a]) / 2.0)
+             for a, b, sign in ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0))]
+    if not all(np.isfinite(diagonal).all() for band in bands for diagonal in band):
+        _check_residual(math.nan, config)  # LAPACK may raise on NaN rather than return it
     x = np.arange(n)
-    for block, (a, b, sign) in zip(blocks, ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0))):
-        block[x, x] = (w[0][a, b] + sign * w[0][b, a]) / 2.0
-        block[x[:-1], x[1:]] = (w[1][a, b] + sign * w[-1][b, a]) / 2.0
-        block[x[1:], x[:-1]] = (w[-1][a, b] + sign * w[1][b, a]) / 2.0
-    return blocks
+    for diagonal, upper, lower in bands:
+        block = np.zeros((n, n))
+        block[x, x] = diagonal
+        block[x[:-1], x[1:]] = upper
+        block[x[1:], x[:-1]] = lower
+        yield block
 
 
 @dataclass
@@ -184,14 +212,18 @@ class _Eigenbasis:
         return cls(cos, basis.T, anti.T)
 
     @classmethod
-    def chiral(cls, blocks: np.ndarray, frames: np.ndarray) -> _Eigenbasis:
-        h_plus, h_minus, a_pm = blocks
-        cos_p, v_p = np.linalg.eigh(h_plus)
-        cos_m, v_m = np.linalg.eigh(h_minus)
+    def chiral(cls, blocks: Iterator[np.ndarray], frames: np.ndarray) -> _Eigenbasis:
+        """Solve the sector blocks as _sector_blocks yields them, holding one dense block at a time."""
+        cos_p, v_p = np.linalg.eigh(next(blocks))
+        cos_m, v_m = np.linalg.eigh(next(blocks))
+        a_pm, n = next(blocks), len(cos_p)
         # A takes a + vector v to -a_pm^T v and a - vector w to a_pm w.
-        anti = np.concatenate([-(v_p.T @ a_pm), v_m.T @ a_pm.T])
+        anti = np.empty((2 * n, n))
+        np.negative(np.matmul(v_p.T, a_pm, out=anti[:n]), out=anti[:n])
+        np.matmul(v_m.T, a_pm.T, out=anti[n:])
+        del a_pm
         return cls(np.concatenate([cos_p, cos_m]), np.concatenate([v_p.T, v_m.T]), anti,
-                   np.repeat([0, 1], len(cos_p)), frames)
+                   np.repeat([0, 1], n), frames)
 
     def blocks(self, rows: np.ndarray) -> np.ndarray:
         """The (K, m, m) stack V_blk^dagger A V_blk for a (K, m) array of row indices."""
@@ -275,18 +307,65 @@ def _check_residual(max_residual: float, config: WalkConfig) -> None:
         )
 
 
+def _state_blocks(
+    eig: _Eigenbasis, order: np.ndarray, turned: list, slot: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every state's site amplitudes, as (slots, rows) blocks of at most STATE_BLOCK rows.
+
+    Row i of rows is the state of sorted slot slots[i].  The rows of the
+    turned clusters are lifted a stack of clusters at a time and turned a
+    block of columns at a time; every other row is lifted as it is.
+    """
+    kept = np.ones(len(order), dtype=bool)
+    for pos, rot, _ in turned:
+        kept[pos] = False
+        stack = max(1, STATE_BLOCK // pos.shape[1])
+        for k in range(0, len(pos), stack):
+            rows = eig.lift(order[pos[k:k + stack]])
+            for j in range(0, pos.shape[1], STATE_BLOCK):
+                cols = slice(j, j + STATE_BLOCK)
+                yield (slot[pos[k:k + stack, cols]].ravel(),
+                       _turn(rot[k:k + stack, :, cols], rows).reshape(-1, rows.shape[-1]))
+    kept = np.flatnonzero(kept)
+    for k in range(0, len(kept), STATE_BLOCK):
+        yield slot[kept[k:k + STATE_BLOCK]], eig.lift(order[kept[k:k + STATE_BLOCK]])
+
+
+def _residual_squares(step, rows: np.ndarray, lam: np.ndarray, real: bool) -> np.ndarray:
+    """||U psi - lam psi||^2 for each row psi of a (b, 2N) block, U psi from the walk step.
+
+    A real step takes the rows' real and imaginary parts as two real stacks.
+    """
+    def walkers(amps):  # a view of (b, 2N) rows as (b, 2, N) walkers
+        return amps.reshape(len(amps), -1, 2).transpose(0, 2, 1)
+
+    uv = np.zeros(rows.shape, dtype=np.complex128)
+    if not real:
+        walkers(uv)[...] = step(walkers(rows))
+    else:
+        walkers(uv.real)[...] = step(walkers(rows.real))
+        if np.iscomplexobj(rows):
+            walkers(uv.imag)[...] = step(walkers(rows.imag))
+    uv -= rows * lam[:, None]
+    flat = uv.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> QuasienergySpectrum:
     """Full spectrum of the walk unitary by dense diagonalization.
 
     A real U is solved in its two chiral sectors: two N x N eigh calls of
     H's sector blocks instead of one 2N x 2N, with A V from A's N x N
-    off-sector blocks, all three read from probe steps rather than from a
-    dense U.  A complex U is built and solved as one sector.  Each cluster
-    of equal cos E is split by sin E, and each eigenvector is written to
-    site amplitudes straight in its sorted slot, a block of states at a
-    time.  The eigen-residuals ||U psi - lambda psi|| take U psi from the
-    matrix-free walk step.  Raises SolverConvergenceError if any exceeds
-    1e-8, or if the operator is not finite, and ValueError below two sites.
+    off-sector block, all three read from probe steps rather than from a
+    dense U and built one at a time.  A complex U is built and solved as
+    one sector.  Each cluster of equal cos E is split by sin E.  The
+    eigenvectors are then streamed a block of states at a time: each
+    block's eigen-residuals ||U psi - lambda psi||, with U psi from the
+    matrix-free walk step, and its edge masses are taken, and the block is
+    dropped.  So the real path holds no 2N x 2N array; the states are
+    assembled from the same stream on the first read of the result's
+    states.  Raises SolverConvergenceError if any residual exceeds 1e-8,
+    or if the operator is not finite, and ValueError below two sites.
     """
     if config.n_sites > MAX_DENSE_SITES:
         raise ValueError(
@@ -294,11 +373,14 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
         )
     m = _edge_sites(config.n_sites, edge_sites)
     frames = chiral_frames(config) if _real_phases(config) else None
-    ops = build_unitary(config) if frames is None else _sector_blocks(config, frames)
-    if not np.isfinite(ops).all():  # LAPACK may raise on NaN rather than return it
-        _check_residual(math.nan, config)
-    eig = _Eigenbasis.full(ops) if frames is None else _Eigenbasis.chiral(ops, frames)
-    del ops
+    if frames is None:
+        u = build_unitary(config)
+        if not np.isfinite(u).all():  # LAPACK may raise on NaN rather than return it
+            _check_residual(math.nan, config)
+        eig = _Eigenbasis.full(u)
+        del u
+    else:
+        eig = _Eigenbasis.chiral(_sector_blocks(config, frames), frames)
 
     # Joint eigenbasis: inside each degenerate cos E cluster, resolve by the
     # skew part -iA (eigenvalues -sin E), then re-resolve the cos part, which
@@ -310,10 +392,13 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     # each lies in one chiral sector, and the cluster's skew block would
     # turn a left and a right zero mode into (v1 +- i v2)/sqrt(2).  Each
     # eigenvalue is its state's Rayleigh quotient cos E - i sin E, taken in
-    # the cluster's small block.
+    # the cluster's small block; for real U a state's own skew element is
+    # zero, as A only couples the sectors.
     order = np.argsort(eig.cos, kind="stable")
     cos_e = eig.cos[order]
-    lam = cos_e + eig.blocks(order[:, None])[:, 0, 0].astype(np.complex128)
+    lam = cos_e.astype(np.complex128)
+    if frames is None:
+        lam += eig.blocks(order[:, None])[:, 0, 0]
     lo, hi = _cluster_bounds(cos_e, CLUSTER_TOLERANCE)
 
     # Turned clusters as (positions (K, m), rotations (K, m, m), sin parts
@@ -349,45 +434,26 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     slot[by_energy] = np.arange(len(by_energy))
     energies, lam = energies[by_energy], lam[by_energy]
 
-    # Site amplitudes, row k for energies[k], each written straight into its
-    # slot; a large cluster's lifted rows are turned a block of columns at a time.
+    # Each block of states is checked and measured, then dropped.  Lifting
+    # the states needs V and the rotations only, so A V is released here.
+    eig.anti = None
+    state_blocks = partial(_state_blocks, eig, order, turned, slot)
     n = config.n_sites
-    vecs = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    kept = np.ones(2 * n, dtype=bool)
-    for pos, rot, _ in turned:
-        kept[pos] = False
-        stack = max(1, ASSEMBLY_BLOCK // pos.shape[1])
-        for k in range(0, len(pos), stack):
-            rows = eig.lift(order[pos[k:k + stack]])
-            for j in range(0, pos.shape[1], ASSEMBLY_BLOCK):
-                cols = slice(j, j + ASSEMBLY_BLOCK)
-                vecs[slot[pos[k:k + stack, cols]]] = _turn(rot[k:k + stack, :, cols], rows)
-    kept = np.flatnonzero(kept)
-    for k in range(0, len(kept), ASSEMBLY_BLOCK):
-        vecs[slot[kept[k:k + ASSEMBLY_BLOCK]]] = eig.lift(order[kept[k:k + ASSEMBLY_BLOCK]])
-    del eig
-
-    # Residuals a block of states at a time, each state one (2, N) walker.
-    step, squares = stepper(config), np.empty(2 * n)
-    for lo in range(0, 2 * n, RESIDUAL_BLOCK):
-        rows = vecs[lo:lo + RESIDUAL_BLOCK]
-        uv = step(rows.reshape(-1, n, 2).transpose(0, 2, 1)).transpose(0, 2, 1).reshape(rows.shape)
-        uv -= rows * lam[lo:lo + RESIDUAL_BLOCK, None]
-        flat = uv.view(np.float64)
-        squares[lo:lo + len(rows)] = np.einsum("ij,ij->i", flat, flat)
+    step = stepper(config) if frames is None else stepper(config, np.float64)
+    squares, left, right = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
+    for slots, rows in state_blocks():
+        squares[slots] = _residual_squares(step, rows, lam[slots], real=frames is not None)
+        left[slots], right[slots] = _boundary_masses(rows.T, n, m)
     max_residual = float(np.sqrt(squares.max()))
     _check_residual(max_residual, config)
-
-    vecs = vecs.T  # column k holds the state of energies[k]
-    left, right = _boundary_masses(vecs, n, m)
     return QuasienergySpectrum(
         energies=energies,
-        states=vecs,
         left_mass=left,
         right_mass=right,
         config=config,
         edge_sites=m,
         max_residual=max_residual,
+        state_blocks=state_blocks,
     )
 
 

@@ -130,7 +130,10 @@ def dense_spectrum(config):
     vecs = vecs[:, order]
     m = spectrum._edge_sites(config.n_sites, None)
     left, right = spectrum._boundary_masses(vecs, config.n_sites, m)
-    return QuasienergySpectrum(energies[order], vecs, left, right, config, m, 0.0)
+    reference = QuasienergySpectrum(energies[order], left, right, config, m, 0.0,
+                                    lambda: iter([(np.arange(2 * config.n_sites), vecs.T)]))
+    assert np.array_equal(reference.states, vecs)
+    return reference
 
 
 def edge_mode_set(spec):
@@ -196,7 +199,7 @@ def test_hamiltonian_has_no_off_sector_block(timeframe):
         a = q.T @ ((u - u.T) / 2.0) @ q
         assert np.max(np.abs(h[:n, n:])) < 1e-14
         assert np.max(np.abs(a[:n, :n])) < 1e-14 and np.max(np.abs(a[n:, n:])) < 1e-14
-        h_plus, h_minus, a_pm = blocks = spectrum._sector_blocks(cfg, frames)
+        h_plus, h_minus, a_pm = blocks = np.stack(list(spectrum._sector_blocks(cfg, frames)))
         assert np.allclose(h_plus, h[:n, :n], rtol=0.0, atol=1e-14)
         assert np.allclose(h_minus, h[n:, n:], rtol=0.0, atol=1e-14)
         assert np.allclose(a_pm, a[:n, n:], rtol=0.0, atol=1e-14)
@@ -257,8 +260,10 @@ def test_flagship_edge_modes_match_the_dense_reference(n):
     assert np.allclose(mode_energies, ref_energies, rtol=0.0, atol=1e-12)
 
 
-# Measured peaks: 1.72x (generic) and 2.45x (flagship) the states' own bytes.
-@pytest.mark.parametrize("theta_a, theta_b, bound", [(1.1, 0.4, 2.0), (np.pi / 2, 0.0, 2.85)])
+# Measured peaks: 1.00x (generic) and 1.23x (flagship) the bytes of the
+# states, which the solve streams and does not hold; they are assembled
+# only when read, after the trace.
+@pytest.mark.parametrize("theta_a, theta_b, bound", [(1.1, 0.4, 1.2), (np.pi / 2, 0.0, 1.6)])
 def test_solver_memory_peak_is_bounded_by_the_states(theta_a, theta_b, bound):
     cfg = fib_config(610, theta_a, theta_b)
     tracemalloc.start()
@@ -268,6 +273,74 @@ def test_solver_memory_peak_is_bounded_by_the_states(theta_a, theta_b, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * spec.states.nbytes
+
+
+def solve_recording_eigenvalues(config, monkeypatch):
+    """quasienergies(config), and the eigenvalue and squared residual the solver streamed per slot."""
+    slots, lams, squares = [], [], []
+    state_blocks, residual_squares = spectrum._state_blocks, spectrum._residual_squares
+
+    def recording_blocks(*args):
+        for block in state_blocks(*args):
+            slots.append(block[0])
+            yield block
+
+    def recording_squares(step, rows, lam, real):
+        lams.append(lam)
+        squares.append(residual_squares(step, rows, lam, real))
+        return squares[-1]
+
+    monkeypatch.setattr(spectrum, "_state_blocks", recording_blocks)
+    monkeypatch.setattr(spectrum, "_residual_squares", recording_squares)
+    spec = quasienergies(config)
+    size = 2 * config.n_sites
+    streamed = np.concatenate(slots[:len(lams)])
+    assert np.array_equal(np.sort(streamed), np.arange(size))
+    lam, sq = np.empty(size, dtype=np.complex128), np.empty(size)
+    lam[streamed], sq[streamed] = np.concatenate(lams), np.concatenate(squares)
+    return spec, lam, sq
+
+
+def slot_order_squares(spec, lam):
+    """Squared eigen-residuals of the assembled states, taken in slot order 128 at a time.
+
+    This is the check as the solver made it when it held every state:
+    U psi from the complex walk step of consecutive rows of the state matrix.
+    """
+    n = spec.config.n_sites
+    vecs = spec.states.T  # row k holds the state of energies[k]
+    step, squares = walk.stepper(spec.config), np.empty(2 * n)
+    for lo in range(0, 2 * n, 128):
+        rows = vecs[lo:lo + 128]
+        uv = step(rows.reshape(-1, n, 2).transpose(0, 2, 1)).transpose(0, 2, 1).reshape(rows.shape)
+        uv -= rows * lam[lo:lo + 128, None]
+        flat = uv.view(np.float64)
+        squares[lo:lo + len(rows)] = np.einsum("ij,ij->i", flat, flat)
+    return squares
+
+
+STREAM_CONFIGS = [
+    pytest.param(WalkConfig(233, CoinAngles(theta_a, theta_b), standard_word(233), left, right,
+                            timeframe), id=f"{name}-{timeframe.value}-{left:+.0f}{right:+.0f}")
+    for name, theta_a, theta_b in (("flagship", np.pi / 2, 0.0), ("generic", 1.1, 0.4))
+    for timeframe in Timeframe
+    for left, right in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
+] + [pytest.param(WalkConfig(233, CoinAngles(1.1, 0.4), standard_word(233), np.exp(0.3j),
+                             np.exp(-1.1j)), id="complex-phases")]
+
+
+@pytest.mark.parametrize("config", STREAM_CONFIGS)
+def test_streamed_masses_and_residuals_match_the_assembled_states(config, monkeypatch):
+    spec, lam, squares = solve_recording_eigenvalues(config, monkeypatch)
+    states = spec.states
+    assert spec.states is states
+    assert spec.state_blocks is None  # the factors are released once the states are built
+    left, right = spectrum._boundary_masses(states, config.n_sites, spec.edge_sites)
+    assert np.array_equal(spec.left_mass, left)
+    assert np.array_equal(spec.right_mass, right)
+    reference = slot_order_squares(spec, lam)
+    assert np.array_equal(reference, squares)
+    assert float(np.sqrt(reference.max())) == spec.max_residual
 
 
 @pytest.mark.parametrize("timeframe", list(Timeframe))
@@ -355,10 +428,11 @@ def test_find_gaps_rejects_a_nan_width():
 def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, monkeypatch, capsys):
     cfg = fib_config(34, 1.0, 0.4)
 
-    def no_solve(config):
-        raise AssertionError("build_unitary reached")
+    def no_solve(*args):
+        raise AssertionError("solver reached")
 
-    monkeypatch.setattr(spectrum, "build_unitary", no_solve)
+    for name in ("chiral_frames", "build_unitary"):  # each path's first solver call
+        monkeypatch.setattr(spectrum, name, no_solve)
     with pytest.raises(ValueError, match="edge_sites"):
         quasienergies(cfg, edge_sites=edge_sites)
 
