@@ -331,21 +331,10 @@ def _state_blocks(
         yield slot[kept[k:k + STATE_BLOCK]], eig.lift(order[kept[k:k + STATE_BLOCK]])
 
 
-def _residual_squares(step, rows: np.ndarray, lam: np.ndarray, real: bool) -> np.ndarray:
-    """||U psi - lam psi||^2 for each row psi of a (b, 2N) block, U psi from the walk step.
-
-    A real step takes the rows' real and imaginary parts as two real stacks.
-    """
-    def walkers(amps):  # a view of (b, 2N) rows as (b, 2, N) walkers
-        return amps.reshape(len(amps), -1, 2).transpose(0, 2, 1)
-
-    uv = np.zeros(rows.shape, dtype=np.complex128)
-    if not real:
-        walkers(uv)[...] = step(walkers(rows))
-    else:
-        walkers(uv.real)[...] = step(walkers(rows.real))
-        if np.iscomplexobj(rows):
-            walkers(uv.imag)[...] = step(walkers(rows.imag))
+def _residual_squares(step, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """||U psi - lam psi||^2 for each row psi of a (b, 2N) block, U psi from the complex walk step."""
+    rows = rows.astype(np.complex128, copy=False)
+    uv = step(rows.reshape(len(rows), -1, 2).transpose(0, 2, 1)).transpose(0, 2, 1).reshape(rows.shape)
     uv -= rows * lam[:, None]
     flat = uv.view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
@@ -439,10 +428,10 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     eig.anti = None
     state_blocks = partial(_state_blocks, eig, order, turned, slot)
     n = config.n_sites
-    step = stepper(config) if frames is None else stepper(config, np.float64)
+    step = stepper(config)
     squares, left, right = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
     for slots, rows in state_blocks():
-        squares[slots] = _residual_squares(step, rows, lam[slots], real=frames is not None)
+        squares[slots] = _residual_squares(step, rows, lam[slots])
         left[slots], right[slots] = _boundary_masses(rows.T, n, m)
     max_residual = float(np.sqrt(squares.max()))
     _check_residual(max_residual, config)

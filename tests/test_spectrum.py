@@ -285,9 +285,9 @@ def solve_recording_eigenvalues(config, monkeypatch):
             slots.append(block[0])
             yield block
 
-    def recording_squares(step, rows, lam, real):
+    def recording_squares(step, rows, lam):
         lams.append(lam)
-        squares.append(residual_squares(step, rows, lam, real))
+        squares.append(residual_squares(step, rows, lam))
         return squares[-1]
 
     monkeypatch.setattr(spectrum, "_state_blocks", recording_blocks)
