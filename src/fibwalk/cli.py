@@ -99,8 +99,9 @@ _TERMINATION = P("termination", str, "standard", "surface termination: 'standard
                  "letter A/B prefix, or 'phason:<x>' (default: standard)")
 
 _BOUNDARY = (
-    P("phase_left", float, 0.0, "left reflection phase angle chi, alpha_L = exp(i chi) (default: 0)"),
-    P("phase_right", float, 0.0, "right reflection phase angle (default: 0)"),
+    P("phase_left", float, 0.0,
+      "left reflection phase angle chi, a multiple of pi; alpha_L = exp(i chi) (default: 0)"),
+    P("phase_right", float, 0.0, "right reflection phase angle, a multiple of pi (default: 0)"),
     P("timeframe", str, Timeframe.PLAIN.value, f"walk timeframe (default: {Timeframe.PLAIN.value})",
       choices=tuple(t.value for t in Timeframe)),
 )
@@ -263,16 +264,17 @@ def _write_sidecar(command: str, params: dict, results: dict) -> None:
     output.write_json(str(params["output"]) + SIDECAR_SUFFIX, doc)
 
 
-def _boundary_phase(params: dict, key: str) -> complex:
-    """exp(i angle); an angle that is a multiple of pi up to its rounding
-    gives exactly +-1, so --phase-left 3.141592653589793 is a real phase."""
+def _boundary_phase(params: dict, key: str) -> float:
+    """exp(i angle) for an angle that is a multiple of pi up to its rounding,
+    exactly +-1, so --phase-left 3.141592653589793 gives -1.  Any other
+    angle would break the walk's chiral symmetry and is rejected."""
     angle = params.get(key, 0.0)
     if not math.isfinite(angle):
         raise ValueError(f"{key} must be finite, got {angle!r}")
     phase = complex(np.exp(1j * angle))
-    if abs(phase.imag) <= 2.0 * np.finfo(float).eps * max(1.0, abs(angle)):
-        return complex(math.copysign(1.0, phase.real))
-    return phase
+    if not abs(phase.imag) <= 2.0 * np.finfo(float).eps * max(1.0, abs(angle)):
+        raise ValueError(f"{key} must be a multiple of pi, got {angle!r}")
+    return math.copysign(1.0, phase.real)
 
 
 def _walk_config(params: dict) -> WalkConfig:

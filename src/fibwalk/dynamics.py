@@ -14,11 +14,11 @@ share the word, the boundary phases, the timeframe and the start site and
 differ only in their coin angles.  mcd_block_series steps a block of
 cells, and mcd_series is its one-cell case.  Only the light cone is
 stepped: at step t, only sites center - t .. center + t can be non-zero.
-The stack is real when the boundary phases and the start spinors are
-real.  C(t) is taken per run with full-length reductions and the runs are
-added in run order, so every value is bitwise the one that stepping each
-run alone, as a complex (2, N) array through apply_step, gives, whatever
-the block.
+The boundary phases are real (+-1), so the stack is real when the start
+spinors are.  C(t) is taken per run with full-length reductions and the
+runs are added in run order, so every value is bitwise the one that
+stepping each run alone, as a complex (2, N) array through apply_step,
+gives, whatever the block.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def mcd_block_series(
     runs = _coin_runs(coin_policy)
     start = walk.localized_state(config, config.n_sites // 2, runs)
     stack = np.repeat(start[None], len(coins), axis=0)
-    factors = [walk.step_factors(replace(config, coins=pair), stack.dtype) for pair in coins]
+    factors = [walk.step_factors(replace(config, coins=pair)) for pair in coins]
     c = np.stack([f[0] for f in factors])[:, None]
     s = np.stack([f[1] for f in factors])[:, None]
     return _series(stack, (c, s, *factors[0][2:]), config.timeframe, steps, runs)

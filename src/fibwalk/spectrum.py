@@ -7,7 +7,7 @@ the cos E values and a basis V; the product A V then holds every block
 needed to split a numerically degenerate cos E cluster by the sign of E:
 a cluster's small block is V_blk^dagger (A V)_blk.
 
-With real boundary phases (the default) U is real, and the walk's
+The boundary phases are real (+-1), so U is real, and the walk's
 site-local chiral operator Gamma (see walk.chiral_frames) maps U to
 U^dagger.  So H commutes with Gamma and A anticommutes with it: in the
 per-site Gamma = +1 and -1 spinors, H is two N x N sector blocks and A
@@ -17,8 +17,7 @@ probe walkers; the dense U is never built.  The solver diagonalises the
 two blocks on their own, takes A V from A's two off-sector blocks, and
 lifts each eigenvector to site amplitudes in O(N).  A cluster of more
 than two states is split by a real SVD of its cross-sector block;
-everything but the cluster rotations is real.  A complex U has no such
-split: it is built densely and solved as one 2N x 2N sector.
+everything but the cluster rotations is real.
 
 The eigenvectors are streamed, a block of states at a time, through the
 eigen-residual check and the edge masses, which are all the analysis
@@ -38,7 +37,9 @@ import numpy as np
 
 from .errors import SolverConvergenceError
 from .sequence import GOLDEN_RATIO_INV
-from .walk import WalkConfig, _real_phases, build_unitary, chiral_frames, stepper
+from .walk import WalkConfig, chiral_frames, stepper
+# build_unitary stays importable from here: bench/tracing.py wraps it by name.
+from .walk import build_unitary  # noqa: F401
 
 MAX_DENSE_SITES = 5000
 RESIDUAL_TOLERANCE = 1e-8
@@ -159,12 +160,12 @@ def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> Iterator[np.ndarra
     diagonals, each built only when asked for.
     """
     n = config.n_sites
-    if n < 2:  # the dense operator's limit, kept for the real path that builds none
+    if n < 2:  # build_unitary's limit, kept by the solver that builds no dense U
         raise ValueError(f"build_unitary needs n_sites >= 2, got {n}")
     probes = np.zeros((3, 2, 2, n))  # [offset o, probed coin d, coin, site]
     for o in range(3):
         probes[o, 0, 0, o::3] = probes[o, 1, 1, o::3] = 1.0
-    stepped = stepper(config, np.float64)(probes)
+    stepped = stepper(config)(probes)
     w = {}  # w[k][a, b, i]: block (a, b) at site pair (x, x + k), x the i-th site with a partner
     for k in (-1, 0, 1):
         x = np.arange(max(0, -k), n - max(0, k))
@@ -189,12 +190,11 @@ def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> Iterator[np.ndarra
 
 @dataclass
 class _Eigenbasis:
-    """Eigenvectors of H = (U + U^dagger)/2, sector by sector, and A applied to them.
+    """Eigenvectors of H = (U + U^T)/2, sector by sector, and A applied to them.
 
     Row k of basis is an eigenvector of H with eigenvalue cos[k] and row k
-    of anti is A times it.  A complex U is one sector: rows hold 2N site
-    amplitudes and frames is None.  A real U has two chiral sectors, +1 (0)
-    and -1 (1): a row holds N amplitudes, one per site along the spinors
+    of anti is A times it.  U has two chiral sectors, +1 (0) and -1 (1): a
+    row holds N amplitudes, one per site along the spinors
     frames[sector[k]] of shape (N, 2), and since H keeps each sector and A
     maps each into the other, row k of anti lies in sector 1 - sector[k].
     """
@@ -202,14 +202,8 @@ class _Eigenbasis:
     cos: np.ndarray
     basis: np.ndarray
     anti: np.ndarray
-    sector: np.ndarray | None = None
-    frames: np.ndarray | None = None
-
-    @classmethod
-    def full(cls, u: np.ndarray) -> _Eigenbasis:
-        cos, basis = np.linalg.eigh((u + u.conj().T) / 2.0)
-        anti = ((u - u.conj().T) / 2.0) @ basis
-        return cls(cos, basis.T, anti.T)
+    sector: np.ndarray
+    frames: np.ndarray
 
     @classmethod
     def chiral(cls, blocks: Iterator[np.ndarray], frames: np.ndarray) -> _Eigenbasis:
@@ -226,25 +220,21 @@ class _Eigenbasis:
                    np.repeat([0, 1], n), frames)
 
     def blocks(self, rows: np.ndarray) -> np.ndarray:
-        """The (K, m, m) stack V_blk^dagger A V_blk for a (K, m) array of row indices."""
-        small = self.basis[rows].conj() @ self.anti[rows].transpose(0, 2, 1)
-        if self.frames is None:
-            return small
+        """The (K, m, m) stack V_blk^T A V_blk for a (K, m) array of row indices."""
+        small = self.basis[rows] @ self.anti[rows].transpose(0, 2, 1)
         sector = self.sector[rows]
         return small * (sector[:, :, None] != sector[:, None, :])
 
     def split(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sin E values, ascending, and the rotation of one cluster's rows that resolves them.
 
-        These are the eigenpairs of the Hermitian part of -i V_blk^dagger A V_blk.
-        For a real U that block is -i [[0, X], [-X^T, 0]] across the two
-        sectors, X = (B_+- - B_-+^T)/2, and X = P S Q^T gives the values
-        +-s with vectors (p, +-i q)/sqrt(2), and zeros from X's null space:
-        a real SVD instead of a complex eigh.  A cluster with one sector
-        empty has a zero block and keeps its rows.
+        These are the eigenpairs of the Hermitian part of -i V_blk^T A V_blk.
+        That block is -i [[0, X], [-X^T, 0]] across the two sectors,
+        X = (B_+- - B_-+^T)/2, and X = P S Q^T gives the values +-s with
+        vectors (p, +-i q)/sqrt(2), and zeros from X's null space: a real
+        SVD instead of a complex eigh.  A cluster with one sector empty has
+        a zero block and keeps its rows.
         """
-        if self.frames is None:
-            return _hermitian_eigh(-1j * self.blocks(rows[None])[0])
         plus = np.flatnonzero(self.sector[rows] == 0)
         minus = np.flatnonzero(self.sector[rows] == 1)
         size, k = len(rows), min(len(plus), len(minus))
@@ -266,9 +256,7 @@ class _Eigenbasis:
         return values[ascending], rot[:, ascending]
 
     def lift(self, rows: np.ndarray) -> np.ndarray:
-        """Site amplitudes of the given rows, shape rows.shape + (2N,)."""
-        if self.frames is None:
-            return self.basis[rows]
+        """Real site amplitudes of the given rows, shape rows.shape + (2N,)."""
         spinors = self.frames[self.sector[rows]]  # (..., N, 2)
         return (spinors * self.basis[rows][..., None]).reshape(rows.shape + (self.frames[0].size,))
 
@@ -279,14 +267,12 @@ def _hermitian_eigh(small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _turn(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rot^T @ rows for each (m, j) rotation and (m, 2N) row block of two stacks.
+    """rot^T @ rows for each (m, j) rotation and real (m, 2N) row block of two stacks.
 
-    Real rows meet rot's real and imaginary parts in two real products
+    The rows meet rot's real and imaginary parts in two real products
     instead of being copied to complex first.
     """
     rot = rot.swapaxes(-1, -2)
-    if np.iscomplexobj(rows):
-        return rot @ rows
     out = np.empty(rot.shape[:-1] + rows.shape[-1:], dtype=np.complex128)
     out.real = rot.real @ rows
     out.imag = rot.imag @ rows
@@ -343,16 +329,15 @@ def _residual_squares(step, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> QuasienergySpectrum:
     """Full spectrum of the walk unitary by dense diagonalization.
 
-    A real U is solved in its two chiral sectors: two N x N eigh calls of
-    H's sector blocks instead of one 2N x 2N, with A V from A's N x N
+    U is solved in its two chiral sectors: two N x N eigh calls of H's
+    sector blocks instead of one 2N x 2N, with A V from A's N x N
     off-sector block, all three read from probe steps rather than from a
-    dense U and built one at a time.  A complex U is built and solved as
-    one sector.  Each cluster of equal cos E is split by sin E.  The
-    eigenvectors are then streamed a block of states at a time: each
-    block's eigen-residuals ||U psi - lambda psi||, with U psi from the
-    matrix-free walk step, and its edge masses are taken, and the block is
-    dropped.  So the real path holds no 2N x 2N array; the states are
-    assembled from the same stream on the first read of the result's
+    dense U and built one at a time.  Each cluster of equal cos E is split
+    by sin E.  The eigenvectors are then streamed a block of states at a
+    time: each block's eigen-residuals ||U psi - lambda psi||, with U psi
+    from the matrix-free walk step, and its edge masses are taken, and the
+    block is dropped.  So the solver holds no 2N x 2N array; the states
+    are assembled from the same stream on the first read of the result's
     states.  Raises SolverConvergenceError if any residual exceeds 1e-8,
     or if the operator is not finite, and ValueError below two sites.
     """
@@ -361,15 +346,8 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
             f"dense solver limited to {MAX_DENSE_SITES} sites, got {config.n_sites}"
         )
     m = _edge_sites(config.n_sites, edge_sites)
-    frames = chiral_frames(config) if _real_phases(config) else None
-    if frames is None:
-        u = build_unitary(config)
-        if not np.isfinite(u).all():  # LAPACK may raise on NaN rather than return it
-            _check_residual(math.nan, config)
-        eig = _Eigenbasis.full(u)
-        del u
-    else:
-        eig = _Eigenbasis.chiral(_sector_blocks(config, frames), frames)
+    frames = chiral_frames(config)
+    eig = _Eigenbasis.chiral(_sector_blocks(config, frames), frames)
 
     # Joint eigenbasis: inside each degenerate cos E cluster, resolve by the
     # skew part -iA (eigenvalues -sin E), then re-resolve the cos part, which
@@ -377,17 +355,15 @@ def quasienergies(config: WalkConfig, edge_sites: int | None = None) -> Quasiene
     # sub-blocks -- a degenerate sin spectrum would otherwise re-mix states
     # whose cos values the first pass had already separated.  A cluster
     # whose sin values all agree within SUBCLUSTER_TOLERANCE keeps V's
-    # vectors, which then hold its states to that tolerance: for real U
-    # each lies in one chiral sector, and the cluster's skew block would
-    # turn a left and a right zero mode into (v1 +- i v2)/sqrt(2).  Each
-    # eigenvalue is its state's Rayleigh quotient cos E - i sin E, taken in
-    # the cluster's small block; for real U a state's own skew element is
-    # zero, as A only couples the sectors.
+    # vectors, which then hold its states to that tolerance: each lies in
+    # one chiral sector, and the cluster's skew block would turn a left and
+    # a right zero mode into (v1 +- i v2)/sqrt(2).  Each eigenvalue is its
+    # state's Rayleigh quotient cos E - i sin E, taken in the cluster's
+    # small block; a state's own skew element is zero, as A only couples
+    # the sectors.
     order = np.argsort(eig.cos, kind="stable")
     cos_e = eig.cos[order]
     lam = cos_e.astype(np.complex128)
-    if frames is None:
-        lam += eig.blocks(order[:, None])[:, 0, 0]
     lo, hi = _cluster_bounds(cos_e, CLUSTER_TOLERANCE)
 
     # Turned clusters as (positions (K, m), rotations (K, m, m), sin parts

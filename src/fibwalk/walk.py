@@ -10,15 +10,17 @@ site-dependent rotation coin
 
 and a chirality-conditioned shift whose out-of-lattice hops are replaced by
 in-place coin flips: |0,L> -> alpha_L |0,R> and |N-1,R> -> alpha_R |N-1,L>,
-with configurable unit phases (default +1).  This is the minimal unitary
-completion that keeps the operator banded and local.
+with boundary phases alpha = +1 (the default) or -1.  This is the minimal
+unitary completion that keeps the operator banded and local.  The phases
+are real so that the walk keeps its chiral symmetry Gamma U Gamma = U^dagger,
+which pins edge modes at 0 and pi; a complex phase would break it.
 
 Two timeframes are provided.  PLAIN is U = S C and drives all dynamics and
 spectra; SYMMETRIZED is U = C^(1/2) S C^(1/2) (half-angle rotations), which
-satisfies the chiral relation Gamma U Gamma = U^dagger literally whenever
-the boundary phases are real.  The two operators are related by conjugation
-with C^(1/2) and have identical spectra.  The dense unitary is the step
-applied to each basis state, and is real when the boundary phases are.
+satisfies the chiral relation literally.  The two operators are related by
+conjugation with C^(1/2) and have identical spectra.  Every step factor is
+real, so the dense unitary, the step applied to each basis state, is real,
+and a stack steps in its own dtype.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .sequence import CoinAngles, FibonacciWord, angles_for
 
-PHASE_TOLERANCE = 1e-12
 NORM_TOLERANCE = 1e-10
 
 
@@ -46,8 +47,8 @@ class WalkConfig:
     n_sites: int
     coins: CoinAngles
     word: FibonacciWord
-    boundary_phase_left: complex = 1.0 + 0.0j
-    boundary_phase_right: complex = 1.0 + 0.0j
+    boundary_phase_left: float = 1.0
+    boundary_phase_right: float = 1.0
     timeframe: Timeframe = Timeframe.PLAIN
 
     def __post_init__(self):
@@ -57,12 +58,11 @@ class WalkConfig:
             raise ValueError(
                 f"word length {len(self.word)} != n_sites {self.n_sites}"
             )
-        for name, phase in (
-            ("boundary_phase_left", self.boundary_phase_left),
-            ("boundary_phase_right", self.boundary_phase_right),
-        ):
-            if not abs(abs(complex(phase)) - 1.0) <= PHASE_TOLERANCE:
-                raise ValueError(f"{name} must have unit modulus, got {phase!r}")
+        for name in ("boundary_phase_left", "boundary_phase_right"):
+            phase = complex(getattr(self, name))
+            if phase.imag != 0.0 or abs(phase.real) != 1.0:
+                raise ValueError(f"{name} must be +1 or -1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, phase.real)
 
     def angles(self) -> np.ndarray:
         return angles_for(self.word, self.coins)
@@ -87,13 +87,13 @@ def localized_state(config: WalkConfig, site: int, coins) -> np.ndarray:
     """Runs started on one site, one per coin, as a (runs, 2, n_sites) stack.
 
     Each coin is 'L', 'R', or an (a, b) pair, normalized here.  The stack is
-    real when the boundary phases and every spinor are real, so stepper
-    keeps it real; otherwise it is complex.
+    real when every spinor is real, so stepper keeps it real; otherwise it
+    is complex.
     """
     stack = np.zeros((len(coins), 2, config.n_sites), dtype=np.complex128)
     for r, coin in enumerate(coins):
         stack[r, :, site] = _spinor(coin)
-    if _real_phases(config) and not stack.imag.any():
+    if not stack.imag.any():
         return stack.real.copy()
     return stack
 
@@ -117,26 +117,16 @@ def _shift(amps: np.ndarray, alpha_l, alpha_r) -> np.ndarray:
     return out
 
 
-def _real_phases(config: WalkConfig) -> bool:
-    return np.imag(config.boundary_phase_left) == 0 and np.imag(config.boundary_phase_right) == 0
-
-
-def step_factors(config: WalkConfig, dtype=np.complex128):
+def step_factors(config: WalkConfig):
     """Per-site coin factors and boundary phases of one step: (cos, sin, alpha_l, alpha_r).
 
     cos and sin are taken of the sites' coin angles, halved in the
-    symmetrized timeframe.  A real dtype needs real boundary phases, which
-    are then returned as floats.
+    symmetrized timeframe.  All four are real.
     """
     th = config.angles()
-    al, ar = config.boundary_phase_left, config.boundary_phase_right
-    if np.dtype(dtype).kind != "c":
-        if not _real_phases(config):
-            raise ValueError("a real amplitude stack needs real boundary phases")
-        al, ar = al.real, ar.real
     if config.timeframe is Timeframe.SYMMETRIZED:
         th = th / 2.0
-    return np.cos(th), np.sin(th), al, ar
+    return np.cos(th), np.sin(th), config.boundary_phase_left, config.boundary_phase_right
 
 
 def step_sites(amps: np.ndarray, c, s, alpha_l, alpha_r, timeframe: Timeframe) -> np.ndarray:
@@ -152,14 +142,14 @@ def step_sites(amps: np.ndarray, c, s, alpha_l, alpha_r, timeframe: Timeframe) -
     return _coin(_shift(_coin(amps, c, s), alpha_l, alpha_r), c, s)
 
 
-def stepper(config: WalkConfig, dtype=np.complex128):
+def stepper(config: WalkConfig):
     """One matrix-free walk step as a function of an amplitude stack.
 
-    The returned function maps an array of shape (..., 2, n_sites) and the
-    given dtype to the stack one step later.  The coin factors are computed
-    here, once, not at every step.  A real dtype needs real boundary phases.
+    The returned function maps a real or complex array of shape
+    (..., 2, n_sites) to the stack one step later, in the same dtype.  The
+    coin factors are computed here, once, not at every step.
     """
-    c, s, al, ar = step_factors(config, dtype)
+    c, s, al, ar = step_factors(config)
     timeframe = config.timeframe
     return lambda amps: step_sites(amps, c, s, al, ar, timeframe)
 
@@ -167,31 +157,27 @@ def stepper(config: WalkConfig, dtype=np.complex128):
 def apply_step(amps: np.ndarray, config: WalkConfig) -> np.ndarray:
     """One walk step, matrix-free, of an amplitude array of shape (..., 2, n_sites).
 
-    A real array steps in real arithmetic when the boundary phases are
-    real; anything else steps in complex arithmetic.
+    A complex array steps in complex arithmetic and anything else in real
+    arithmetic.
     """
     amps = np.asarray(amps)
     if amps.ndim < 2 or amps.shape[-2:] != (2, config.n_sites):
         raise ValueError(
             f"amplitudes of shape {amps.shape} do not fit (..., 2, {config.n_sites})"
         )
-    dtype = np.float64 if amps.dtype.kind != "c" and _real_phases(config) else np.complex128
-    return stepper(config, dtype)(amps.astype(dtype, copy=False))
+    dtype = np.complex128 if amps.dtype.kind == "c" else np.float64
+    return stepper(config)(amps.astype(dtype, copy=False))
 
 
 def build_unitary(config: WalkConfig) -> np.ndarray:
-    """Dense walk unitary of dimension 2*n_sites: column k is the step of basis state k.
-
-    It is real when the boundary phases are real.
-    """
+    """Dense real walk unitary of dimension 2*n_sites: column k is the step of basis state k."""
     if config.n_sites < 2:
         raise ValueError(f"build_unitary needs n_sites >= 2, got {config.n_sites}")
     n = config.n_sites
-    dtype = np.float64 if _real_phases(config) else np.complex128
     # basis[k] is state k as a (2, N) walker held with k fastest: the stepped
     # stack, read as [x, coin, k], is U in row order without a copy.
-    basis = np.eye(2 * n, dtype=dtype).reshape(n, 2, 2 * n).transpose(2, 1, 0)
-    return stepper(config, dtype)(basis).transpose(2, 1, 0).reshape(2 * n, 2 * n)
+    basis = np.eye(2 * n).reshape(n, 2, 2 * n).transpose(2, 1, 0)
+    return stepper(config)(basis).transpose(2, 1, 0).reshape(2 * n, 2 * n)
 
 
 def chiral_frames(config: WalkConfig) -> np.ndarray:
@@ -201,9 +187,9 @@ def chiral_frames(config: WalkConfig) -> np.ndarray:
     frames[1, x] the one with -1.  The chiral operator is site-local:
     sigma_x on every coin in the symmetrized timeframe, and
     C^(-1/2) sigma_x C^(1/2) in the plain one, whose operator is
-    C^(-1/2) U_sym C^(1/2).  With real boundary phases it maps U to
-    U^dagger in either frame, so (U + U^dagger)/2 has no matrix element
-    between the +1 and -1 spinors and (U - U^dagger)/2 only such elements.
+    C^(-1/2) U_sym C^(1/2).  It maps U to U^dagger in either frame, so
+    (U + U^dagger)/2 has no matrix element between the +1 and -1 spinors
+    and (U - U^dagger)/2 only such elements.
     """
     sigma_x = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)  # columns: the +1, -1 spinors
     half = np.zeros(config.n_sites)

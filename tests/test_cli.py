@@ -75,8 +75,8 @@ def test_mcd_ballistic_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--timeframe", "symmetrized", {"timeframe": Timeframe.SYMMETRIZED}),
-    ("--phase-left", "0.7", {"boundary_phase_left": complex(np.exp(0.7j))}),
-    ("--phase-right", "-1.2", {"boundary_phase_right": complex(np.exp(-1.2j))}),
+    ("--phase-left", "3.141592653589793", {"boundary_phase_left": -1.0}),
+    ("--phase-right", "-3.141592653589793", {"boundary_phase_right": -1.0}),
 ])
 def test_mcd_walk_flags_reach_the_walk(flag, value, field, tmp_path, capsys):
     out_path = tmp_path / "mcd.csv"
@@ -93,10 +93,11 @@ def test_mcd_walk_flags_reach_the_walk(flag, value, field, tmp_path, capsys):
     assert sidecar[flag[2:].replace("-", "_")] == (float(value) if "phase" in flag else value)
 
 
-@pytest.mark.parametrize("angle, phase", [
-    ("3.141592653589793", -1.0), ("-3.141592653589793", -1.0), ("6.283185307179586", 1.0),
-])
-def test_a_phase_of_pi_is_exactly_real(angle, phase, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags, phase", [
+    (["--phase-left", "3.141592653589793"], -1.0), (["--phase-left", "-3.141592653589793"], -1.0),
+    (["--phase-left", "6.283185307179586"], 1.0), (["--degrees", "--phase-left", "180"], -1.0),
+], ids=["pi", "minus-pi", "two-pi", "180-degrees"])
+def test_a_phase_of_pi_is_exactly_real(flags, phase, tmp_path, capsys, monkeypatch):
     seen = []
 
     def record(config, **kwargs):
@@ -105,11 +106,23 @@ def test_a_phase_of_pi_is_exactly_real(angle, phase, tmp_path, capsys, monkeypat
 
     monkeypatch.setattr("fibwalk.cli.quasienergies", record)
     run(capsys, "spectrum", "--theta-a", "1.1", "--theta-b", "0.4", "--n", "13",
-        "--phase-left", angle, "--output", str(tmp_path / "s.csv"))
+        *flags, "--output", str(tmp_path / "s.csv"))
     (config,) = seen
     assert config.boundary_phase_left == phase
     assert np.imag(config.boundary_phase_left) == 0.0
     assert config.boundary_phase_right == 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--n", "34"], ["mcd", "--n", "34", "--steps", "12"],
+], ids=["spectrum", "mcd"])
+def test_a_phase_off_the_multiples_of_pi_exits_one_without_files(command, tmp_path, capsys):
+    out_path = tmp_path / "o.csv"
+    code, out, err = run(capsys, *command, "--theta-a", "1.1", "--theta-b", "0.4",
+                         "--phase-left", "0.3", "--output", str(out_path))
+    assert code == 1 and out == ""
+    assert "phase_left must be a multiple of pi, got 0.3" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mcd_rejects_boundary_contamination(tmp_path, capsys):
@@ -366,7 +379,8 @@ def test_unusable_files_exit_one_naming_the_path(case, tmp_path, capsys):
 
 ROUND_TRIP_ARGS = {
     "word": ["--order", "6", "--termination", "AAB"],
-    "spectrum": ["--theta-a", "1.1", "--theta-b", "0.4", "--n", "34", "--phase-left", "0.3"],
+    "spectrum": ["--theta-a", "1.1", "--theta-b", "0.4", "--n", "34",
+                 "--phase-left", "3.141592653589793"],
     "mcd": ["--degrees", "--theta-a", "90", "--theta-b", "0", "--n", "89", "--steps", "20"],
     "mcd-map": ["--resolution", "2", "--n", "34", "--steps", "8", "--workers", "1"],
     "schur-trace": ["--theta-a", "1.0", "--theta-b", "0.4", "--n", "34", "--samples", "64"],

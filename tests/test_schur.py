@@ -27,6 +27,7 @@ from fibwalk.schur import (
 )
 from fibwalk.sequence import (
     DEFAULT_ENSEMBLE,
+    GOLDEN_RATIO_INV,
     CoinAngles,
     Phason,
     PrefixOverride,
@@ -34,6 +35,7 @@ from fibwalk.sequence import (
     angles_for,
     phason_ensemble,
     reflection_amplitudes,
+    standard_word,
     word_for_termination,
 )
 from fibwalk.spectrum import (
@@ -384,6 +386,62 @@ def test_symmetry_point_values():
     assert minus == pytest.approx(1.0)
     half = symmetry_point_values(SchurParams(gammas=np.array([0.5])))
     assert half == (0.5, 0.5)
+
+
+# At w = z^s = 1 a site step is f -> (gamma + f)/(1 + gamma f), which is
+# tanh(atanh gamma + atanh f), so f_0(w = 1) = tanh(sum of atanh gamma_n) up
+# to the first mirror.  In doubles this holds only while the tail sums stay
+# moderate: past about 18, (num, den) loses its subdominant part and f locks
+# at +-1, so these chains keep every tail sum within 5.
+W_ONE = [(1, 1.0), (2, 1.0), (2, -1.0)]  # (steps_per_site, z) with z^s = 1
+
+
+def bounded_tail_chain(rng, n, bound=5.0):
+    """A mirror-free chain whose tail sums sum_{m >= k} atanh gamma_m lie in [-bound, bound]."""
+    tails = np.zeros(n + 1)
+    for k in range(n - 1, -1, -1):
+        tails[k] = np.clip(tails[k + 1] + rng.uniform(-2.0, 2.0), -bound, bound)
+    return np.tanh(tails[:-1] - tails[1:])
+
+
+@pytest.mark.parametrize("s, z", W_ONE)
+def test_f_at_w_one_is_tanh_of_the_atanh_sum(s, z):
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        gammas = bounded_tail_chain(rng, int(rng.integers(1, 120)))
+        atanh = np.arctanh(gammas)
+        assert np.max(np.abs(gammas)) < 1.0
+        assert np.max(np.abs(np.cumsum(atanh[::-1]))) <= 5.0 + 1e-12
+        assert abs(schur_eval(SchurParams(gammas, s), z) - np.tanh(atanh.sum())) < 1e-11
+
+
+@pytest.mark.parametrize("s, z", W_ONE)
+def test_f_at_w_one_is_the_first_mirror(s, z):
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        mirror = float(rng.choice([-1.0, 1.0]))
+        gammas = np.concatenate([bounded_tail_chain(rng, int(rng.integers(0, 40))), [mirror],
+                                 rng.uniform(-1.0, 1.0, int(rng.integers(0, 20)))])
+        assert abs(schur_eval(SchurParams(gammas, s), z) - mirror) <= 1e-15
+
+
+@pytest.mark.parametrize("amplitude", [np.cos, np.sin], ids=["cos", "sin"])
+def test_the_sign_of_f_at_w_one_is_the_sign_of_lambda(amplitude):
+    """On the standard word the letters A and B have frequencies 1/tau and
+    1/tau^2, so the atanh sum grows as n lambda, with lambda =
+    atanh(gamma_A)/tau + atanh(gamma_B)/tau^2, and f_0(1) takes its sign."""
+    rng = np.random.default_rng(14)
+    word = standard_word(233)
+    cells = 0
+    for theta_a, theta_b in rng.uniform(-np.pi, np.pi, (240, 2)):
+        lam = (GOLDEN_RATIO_INV * np.arctanh(amplitude(theta_a))
+               + GOLDEN_RATIO_INV ** 2 * np.arctanh(amplitude(theta_b)))
+        if abs(lam) <= 0.02:
+            continue
+        f = schur_eval(SchurParams(amplitude(angles_for(word, CoinAngles(theta_a, theta_b)))), 1.0)
+        assert np.sign(f.real) == np.sign(lam), (theta_a, theta_b)
+        cells += 1
+    assert cells >= 200
 
 
 def test_param_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fibwalk.sequence import (
+    DEFAULT_ENSEMBLE,
     CoinAngles,
     FibonacciWord,
     Phason,
@@ -16,6 +17,7 @@ from fibwalk.sequence import (
     reflection_amplitudes,
     standard_word,
     termination_label,
+    word_for_termination,
 )
 
 
@@ -151,3 +153,24 @@ def test_phason_ensemble():
 def test_termination_labels_round_trip():
     for term in (Standard(), PrefixOverride("BAB"), Phason(0.3)):
         assert parse_termination(termination_label(term)) == term
+
+
+def fibonacci_factors(length):
+    """Every factor of the given length of the Fibonacci word, read off a long prefix."""
+    letters = standard_word(10000).letters
+    return {letters[i:i + length] for i in range(len(letters) - length + 1)}
+
+
+@pytest.mark.parametrize("term", [
+    pytest.param(term, id=term.letters, marks=() if term.letters == "ABA" else pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: the AAB and BAB heads spliced onto the standard word "
+               "make BABAB and the BAA head makes AAA; no Fibonacci word contains either",
+    ))
+    for term in DEFAULT_ENSEMBLE
+])
+def test_default_ensemble_members_are_factors_of_the_fibonacci_word(term):
+    head = word_for_termination(233, term).letters[:20]
+    factors = fibonacci_factors(8)
+    assert [head[i:i + 8] for i in range(len(head) - 7) if head[i:i + 8] not in factors] == []

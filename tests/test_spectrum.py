@@ -88,25 +88,6 @@ def test_eigenvector_completeness_and_orthogonality():
     assert np.max(np.abs(gram - np.eye(178))) < 1e-6
 
 
-@pytest.mark.parametrize("timeframe", list(Timeframe))
-@pytest.mark.parametrize("n", [34, 233])
-@pytest.mark.parametrize("theta_a, theta_b", [(np.pi / 2, 0.0), (1.1, 0.4)])
-def test_complex_boundary_phases(timeframe, n, theta_a, theta_b):
-    # Complex phases make U complex, so the solver runs in complex dtype.
-    cfg = WalkConfig(
-        n, CoinAngles(theta_a, theta_b), standard_word(n),
-        boundary_phase_left=np.exp(0.3j),
-        boundary_phase_right=np.exp(-1.1j),
-        timeframe=timeframe,
-    )
-    spec = quasienergies(cfg)
-    reference = -np.angle(np.linalg.eigvals(build_unitary(cfg)))
-    assert circle_multisets_close(spec.energies, reference, 1e-10)
-    assert spec.max_residual < 1e-8
-    gram = spec.states.conj().T @ spec.states
-    assert np.max(np.abs(gram - np.eye(2 * n))) < 1e-10
-
-
 def dense_spectrum(config):
     """Reference solve: one 2N x 2N eigh of H = (U + U^T)/2 for a real U.
 
@@ -325,8 +306,7 @@ STREAM_CONFIGS = [
     for name, theta_a, theta_b in (("flagship", np.pi / 2, 0.0), ("generic", 1.1, 0.4))
     for timeframe in Timeframe
     for left, right in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))
-] + [pytest.param(WalkConfig(233, CoinAngles(1.1, 0.4), standard_word(233), np.exp(0.3j),
-                             np.exp(-1.1j)), id="complex-phases")]
+]
 
 
 @pytest.mark.parametrize("config", STREAM_CONFIGS)
@@ -344,7 +324,7 @@ def test_streamed_masses_and_residuals_match_the_assembled_states(config, monkey
 
 
 @pytest.mark.parametrize("timeframe", list(Timeframe))
-def test_complex_phases_take_the_single_full_solve(timeframe, monkeypatch):
+def test_the_solve_takes_two_sector_blocks_and_no_dense_unitary(timeframe, monkeypatch):
     sizes = []
     eigh = np.linalg.eigh
 
@@ -352,13 +332,15 @@ def test_complex_phases_take_the_single_full_solve(timeframe, monkeypatch):
         sizes.append(a.shape[-1])
         return eigh(a)
 
+    def no_dense(config):
+        raise AssertionError("dense unitary built")
+
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for owner in (walk, spectrum):
+        monkeypatch.setattr(owner, "build_unitary", no_dense)
     n = 34
-    quasienergies(WalkConfig(n, CoinAngles(1.1, 0.4), standard_word(n),
-                             boundary_phase_left=np.exp(0.3j), timeframe=timeframe))
-    assert sizes[0] == 2 * n
-    sizes.clear()
-    quasienergies(WalkConfig(n, CoinAngles(1.1, 0.4), standard_word(n), timeframe=timeframe))
+    quasienergies(WalkConfig(n, CoinAngles(1.1, 0.4), standard_word(n), -1.0,
+                             timeframe=timeframe))
     assert sizes[:2] == [n, n] and max(sizes) == n
 
 
@@ -393,22 +375,18 @@ def test_residual_guard_raises_with_the_config(tmp_path, monkeypatch, capsys):
 def test_residual_guard_raises_on_a_nan_operator(monkeypatch):
     factors = walk.step_factors
 
-    def nan_factors(config, dtype=np.complex128):
-        c, s, alpha_l, alpha_r = factors(config, dtype)
+    def nan_factors(config):
+        c, s, alpha_l, alpha_r = factors(config)
         return np.full_like(c, np.nan), s, alpha_l, alpha_r
 
     monkeypatch.setattr(walk, "step_factors", nan_factors)
-    for phase in (1.0, np.exp(0.3j)):  # the sector blocks, and the dense complex U
-        cfg = WalkConfig(13, CoinAngles(1.1, 0.4), standard_word(13), boundary_phase_left=phase)
-        with pytest.raises(SolverConvergenceError, match="eigen-residual nan"):
-            quasienergies(cfg)
+    with pytest.raises(SolverConvergenceError, match="eigen-residual nan"):
+        quasienergies(fib_config(13, 1.1, 0.4))
 
 
 def test_one_site_is_rejected(tmp_path, capsys):
-    for phase in (1.0, np.exp(0.3j)):
-        cfg = WalkConfig(1, CoinAngles(1.0, 0.4), standard_word(1), boundary_phase_left=phase)
-        with pytest.raises(ValueError, match="needs n_sites >= 2, got 1"):
-            quasienergies(cfg)
+    with pytest.raises(ValueError, match="needs n_sites >= 2, got 1"):
+        quasienergies(fib_config(1, 1.0, 0.4))
 
     out_path = tmp_path / "s.csv"
     code = main(["spectrum", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "1",
@@ -431,8 +409,7 @@ def test_edge_sites_below_one_rejected_before_the_solve(edge_sites, tmp_path, mo
     def no_solve(*args):
         raise AssertionError("solver reached")
 
-    for name in ("chiral_frames", "build_unitary"):  # each path's first solver call
-        monkeypatch.setattr(spectrum, name, no_solve)
+    monkeypatch.setattr(spectrum, "chiral_frames", no_solve)  # the solver's first call
     with pytest.raises(ValueError, match="edge_sites"):
         quasienergies(cfg, edge_sites=edge_sites)
 
