@@ -176,7 +176,9 @@ def reference_series(config, steps, coin_policy):
 
 @pytest.mark.parametrize("n", [8, 64, 233])
 @pytest.mark.parametrize("coin_policy", ["L", "R", "basis-average", (1.0, 1.0j)])
-@pytest.mark.parametrize("phases", [(1.0, 1.0), (-1.0, 1.0)], ids=["real", "mixed-sign"])
+@pytest.mark.parametrize(
+    "phases", [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)], ids=["real", "mixed-sign", "both-minus"],
+)
 @pytest.mark.parametrize("timeframe", list(Timeframe))
 def test_stacked_series_is_bitwise_the_per_run_loop(timeframe, phases, coin_policy, n):
     cfg = WalkConfig(n, CoinAngles(0.9, -2.3), standard_word(n), *phases, timeframe)
@@ -212,7 +214,7 @@ BLOCK_COINS = [CoinAngles(0.9, -2.3), CoinAngles(0.2, 1.4), CoinAngles(-2.8, 0.7
 # at n = 21 the walk runs on long after its cone has filled the chain.
 @pytest.mark.parametrize("n,steps", [(89, 44), (90, 45), (21, 30)])
 @pytest.mark.parametrize("coin_policy", ["basis-average", (0.6, 0.8j)])
-@pytest.mark.parametrize("phases", [(-1.0, 1.0)], ids=["real"])
+@pytest.mark.parametrize("phases", [(-1.0, 1.0), (-1.0, -1.0)], ids=["real", "both-minus"])
 @pytest.mark.parametrize("timeframe", list(Timeframe))
 def test_light_cone_series_are_bitwise_the_full_width_loop(timeframe, phases, coin_policy,
                                                            n, steps):

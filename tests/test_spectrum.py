@@ -88,6 +88,22 @@ def test_eigenvector_completeness_and_orthogonality():
     assert np.max(np.abs(gram - np.eye(178))) < 1e-6
 
 
+@pytest.mark.parametrize("timeframe", list(Timeframe))
+@pytest.mark.parametrize("n", [34, 233])
+@pytest.mark.parametrize("theta_a, theta_b", [(np.pi / 2, 0.0), (1.1, 0.4)])
+def test_reflected_boundary_phases_match_the_dense_eigenvalues(timeframe, n, theta_a, theta_b):
+    # Both ends reflect with alpha = -1; the reference is the general
+    # (non-Hermitian) eigenvalue solve of the dense U, not the sector blocks.
+    cfg = WalkConfig(n, CoinAngles(theta_a, theta_b), standard_word(n),
+                     boundary_phase_left=-1.0, boundary_phase_right=-1.0, timeframe=timeframe)
+    spec = quasienergies(cfg)
+    reference = -np.angle(np.linalg.eigvals(build_unitary(cfg)))
+    assert circle_multisets_close(spec.energies, reference, 1e-10)
+    assert spec.max_residual < 1e-8
+    gram = spec.states.conj().T @ spec.states
+    assert np.max(np.abs(gram - np.eye(2 * n))) < 1e-10
+
+
 def dense_spectrum(config):
     """Reference solve: one 2N x 2N eigh of H = (U + U^T)/2 for a real U.
 

@@ -71,8 +71,8 @@ def test_build_unitary_real_for_real_phases():
 
 
 @pytest.mark.parametrize(
-    "phases", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)],
-    ids=["real", "minus-left", "minus-right"],
+    "phases", [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)],
+    ids=["real", "minus-left", "minus-right", "minus-both"],
 )
 @pytest.mark.parametrize("timeframe", list(Timeframe))
 def test_build_unitary_is_the_dense_coin_and_shift_product(timeframe, phases):
