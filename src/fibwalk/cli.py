@@ -113,9 +113,6 @@ _COIN_POLICIES = (BASIS_AVERAGE, "L", "R")
 
 def _contour_params(samples_default):
     return (
-        P("steps_per_site", int, 2,
-          "powers of z per recursion step; 2 reproduces the even-winding convention, "
-          "1 is the literal single-power recursion (default: 2)"),
         P("samples", int, samples_default,
           f"initial contour resolution (default: {samples_default})"),
         P("min_modulus", float, schur.DEFAULT_MIN_MODULUS,
@@ -438,7 +435,7 @@ def _contour(params: dict) -> schur.Contour:
 def _schur_params(params: dict) -> schur.SchurParams:
     term = parse_termination(params["termination"])
     return schur.reflection_params(params["theta_a"], params["theta_b"], params["n"], term,
-                                   params["steps_per_site"], _contour(params))
+                                   _contour(params))
 
 
 @_command(
@@ -448,7 +445,7 @@ def _schur_params(params: dict) -> schur.SchurParams:
     P("n", int, schur.DEFAULT_CUTOFF,
       f"recursion cutoff: sites entering the Schur function (default: {schur.DEFAULT_CUTOFF})"),
     _TERMINATION,
-    *_contour_params(schur.DEFAULT_SAMPLES)[:2],  # a trace refines nothing
+    *_contour_params(schur.DEFAULT_SAMPLES)[:1],  # a trace refines nothing
     *_common_params("schur_trace.csv", "csv"),
 )
 def _run_schur_trace(params: dict) -> tuple[str, dict]:
@@ -501,7 +498,7 @@ def _run_winding_map(params: dict) -> tuple[str, dict]:
         _grid(params),
         termination=parse_termination(params["termination"]),
         n_sites=params["n"],
-        steps_per_site=params["steps_per_site"], contour=_contour(params),
+        contour=_contour(params),
         workers=params["workers"],
     )
     return _finish_map(diagram, params)
@@ -531,7 +528,7 @@ def _run_winding_average(params: dict) -> tuple[str, dict]:
         _grid(params),
         ensemble=_parse_ensemble(params["ensemble"]),
         n_sites=params["n"],
-        steps_per_site=params["steps_per_site"], contour=_contour(params),
+        contour=_contour(params),
         workers=params["workers"],
     )
     return _finish_map(diagram, params)

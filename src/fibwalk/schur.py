@@ -3,14 +3,14 @@
 The reflection coefficient of the semi-infinite chain is built by the
 backward Möbius recursion
 
-    f_n(z) = (gamma_n + z^s f_{n+1}(z)) / (1 + gamma_n z^s f_{n+1}(z)),
+    f_n(z) = (gamma_n + w f_{n+1}(z)) / (1 + gamma_n w f_{n+1}(z)),  w = z^2,
 
 initialized with f_N = 0 at the cutoff (transparent tail) and iterated to
-the boundary value f_0.  Each step uses z^s with s = steps_per_site; the
-default s = 2 counts both half-waves through a site, which is the
-convention that yields winding numbers consistent with the pinned-mode
-structure of the walk (see README), while s = 1 is the literal single-power
-recursion.
+the boundary value f_0.  Out to a site and back costs two steps of the
+walk, so each site contributes w = z^2: f_0 depends on z only through z^2,
+f_0(-z) = f_0(z), and every winding is even.  The count of the
+single-power recursion, f_0 as a function of w, is half of it (see
+README).
 
 A reflector with |gamma_n| = 1 maps the whole disk to the single point
 gamma_n, so each chain is cut at its first reflector: the sites behind it
@@ -30,17 +30,16 @@ arc [0, pi] only, from the ring's points below pi and then z = -1; each
 interval stands for itself and its mirror, and the winding is twice the
 arc's phase increments over 2 pi.
 
-Chains of one steps_per_site and one Contour are refined as one batch
-(winding_numbers; a single chain is a batch of one),
-whatever their lengths, cells and terminations.  Every member starts
-from the same ring of samples.  Each round evaluates, in one pass, the
-midpoints of every interval pending a split, tagged with an owner index;
-only the two halves of each split are tested next, and each member's
-contour is put in order once, at the end.  A chain's
-first three sites are its head -- the four prefix terminations differ
+Chains of one Contour are refined as one batch (winding_numbers; a single
+chain is a batch of one), whatever their lengths, cells and terminations.
+Every member starts from the same ring of samples.  Each round evaluates,
+in one pass, the midpoints of every interval pending a split, tagged with
+an owner index; only the two halves of each split are tested next, and
+each member's contour is put in order once, at the end.  A chain's first
+three sites are its head -- the four prefix terminations differ
 only there -- and the sites after them, up to its first reflector, are
 its body.  In homogeneous form f = num/den a site multiplies (num, den)
-by M_n(z) = [[w, gamma_n], [gamma_n w, 1]] with w = z^s, so a body is a
+by M_n(z) = [[w, gamma_n], [gamma_n w, 1]] with w = z^2, so a body is a
 product of 2x2 matrices applied to (0, 1).  Bodies with one skeleton --
 the pattern in which their gammas repeat, which a word's letters fix
 whatever the coin angles -- share one grammar, built once: the most
@@ -52,7 +51,7 @@ power of two, and applies the final symbols; then each member's head
 steps per (member, point), and f = num/den is taken at the end.  Head
 sites, and body sites with 1 - |gamma| < 1e-12 that are not the body's
 last, step alone with the denominator floor checked: |den_n| < 1e-14
-|den_{n+1}| is the recursion's |1 + gamma_n z^s f_{n+1}| < 1e-14, so a
+|den_{n+1}| is the recursion's |1 + gamma_n w f_{n+1}| < 1e-14, so a
 PoleOnContourError names the step the site-by-site recursion names.
 Where a product, or its application, cancels more than 20 bits at a
 point, that point applies the rule's pair instead.  Every point goes
@@ -126,11 +125,10 @@ class Contour:
 
 @dataclass(frozen=True)
 class SchurParams:
-    """Reflection amplitudes (boundary first), the powers of z per recursion
-    step, and the contour a winding is refined on."""
+    """Reflection amplitudes (boundary first) and the contour a winding is
+    refined on."""
 
     gammas: np.ndarray
-    steps_per_site: int = 2
     contour: Contour = Contour()
 
     def __post_init__(self):
@@ -140,8 +138,6 @@ class SchurParams:
         if not np.max(np.abs(g)) <= 1.0 + 1e-12:
             raise ValueError("reflection amplitudes must satisfy |gamma| <= 1")
         object.__setattr__(self, "gammas", np.clip(g, -1.0, 1.0))
-        if self.steps_per_site not in (1, 2):
-            raise ValueError(f"steps_per_site must be 1 or 2, got {self.steps_per_site}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,6 @@ def reflection_params(
     theta_b: float,
     n_sites: int = DEFAULT_CUTOFF,
     termination: Termination = Standard(),
-    steps_per_site: int = 2,
     contour: Contour = Contour(),
 ) -> SchurParams:
     """SchurParams of a terminated Fibonacci walk: gamma_n = cos(theta_n),
@@ -166,12 +161,7 @@ def reflection_params(
     reflection_amplitudes docstring gives."""
     word = word_for_termination(n_sites, termination)
     angles = angles_for(word, CoinAngles(theta_a, theta_b))
-    return SchurParams(reflection_amplitudes(angles), steps_per_site, contour)
-
-
-def _powers(z, s):
-    """w = z^s and dw/dz, s = 1 or 2 (numpy's z**1 is z, but slowly)."""
-    return (z, np.ones_like(z)) if s == 1 else (z * z, 2.0 * z)
+    return SchurParams(reflection_amplitudes(angles), contour)
 
 
 def _site_matrix(g, w, dw):
@@ -255,7 +245,7 @@ class _Body:
     one grammar of block products.
 
     In homogeneous form f = num / den, a site multiplies (num, den) by
-    M_n(z) = [[w, gamma_n], [gamma_n w, 1]], w = z^s, and a body's f is
+    M_n(z) = [[w, gamma_n], [gamma_n w, 1]], w = z^2, and a body's f is
     the product of its sites' matrices applied to (0, 1).  The grammar is
     built on the skeleton by repeatedly replacing the most frequent
     adjacent pair of symbols (counted without overlaps, ties to the
@@ -317,7 +307,7 @@ class _Body:
             k -= 1 if symbol < 0 else lengths[symbol]
             self.steps.append((symbol, k))
 
-    def __call__(self, rows: np.ndarray, z: np.ndarray, s: int):
+    def __call__(self, rows: np.ndarray, z: np.ndarray):
         """(v, pole) of body rows[k] at z[k], starting from (num, den) = (0, 1),
         for distinct (row, point) pairs: v is (num, den) with its
         z-derivative as a (2, 2, K) array, and pole the chain step that hit
@@ -326,11 +316,11 @@ class _Body:
         pole = np.full(z.size, -1)
         for lo in range(0, z.size, _CHUNK):
             at = slice(lo, lo + _CHUNK)
-            v[..., at], pole[at] = self._chunk(rows[at], z[at], s)
+            v[..., at], pole[at] = self._chunk(rows[at], z[at])
         return v, pole
 
-    def _chunk(self, rows, z, s):
-        w, dw = _powers(z, s)
+    def _chunk(self, rows, z):
+        w, dw = z * z, 2.0 * z
         # each rule's product and each terminal a rule uses, with its
         # derivative and the bits it lost
         exact = np.zeros(z.size, dtype=np.intc)
@@ -382,7 +372,7 @@ def _distinct(rows, z):
     return order[new], back
 
 
-def _chain_evaluator(chains: list[np.ndarray], s: int):
+def _chain_evaluator(chains: list[np.ndarray]):
     """evaluate(z, owner) -> (f_0, f_0', errors) for chains of any lengths.
 
     Point k of z belongs to chain owner[k].  Each chain is padded with zeros
@@ -428,7 +418,7 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     body_row = np.array([0 if p is None else p[1] for p in placed])
 
     def evaluate(z, owner):
-        w, dw = _powers(z, s)
+        w, dw = z * z, 2.0 * z
         v = np.zeros((2, 2, z.size), dtype=np.complex128)
         v[0, 1] = 1.0
         pole = np.full(z.size, -1)
@@ -437,7 +427,7 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
             at = np.flatnonzero(groups == b)
             rows = body_row[owner[at]]
             first, back = _distinct(rows, z[at])  # members share points
-            bv, bpole = body(rows[first], z[at][first], s)
+            bv, bpole = body(rows[first], z[at][first])
             for out, part in zip(v.reshape(4, -1), bv.reshape(4, -1)):
                 out[at] = part[back]  # row by row: a 3-d scatter is 3x slower
             pole[at] = bpole[back]
@@ -458,22 +448,15 @@ def _chain_evaluator(chains: list[np.ndarray], s: int):
     return evaluate
 
 
-def _eval_circle(
-    gammas: np.ndarray, s: int, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f_0, df_0/dz) at the points z, from one backward pass."""
-    f, fp, errors = _chain_evaluator([gammas], s)(z, np.zeros(z.shape, dtype=np.intp))
-    if errors:
-        raise errors[0]
-    return f, fp
-
-
 def schur_eval(params: SchurParams, z):
     """f_0 at one point or an array of points with |z| <= 1."""
     zv = np.asarray(z, dtype=np.complex128)
     if not np.max(np.abs(zv)) <= 1.0 + 1e-12:
         raise ValueError("the Schur function is only evaluated on |z| <= 1")
-    out, _ = _eval_circle(params.gammas, params.steps_per_site, np.atleast_1d(zv))
+    z1 = np.atleast_1d(zv)
+    out, _, errors = _chain_evaluator([params.gammas])(z1, np.zeros(z1.shape, dtype=np.intp))
+    if errors:
+        raise errors[0]
     return complex(out[0]) if zv.ndim == 0 else out.reshape(zv.shape)
 
 
@@ -639,16 +622,16 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
 def winding_numbers(members: list[SchurParams]) -> list[WindingResult | ComputationError]:
     """Schur winding numbers of several chains, refined together.
 
-    The members must share steps_per_site and one Contour.  Their chains
-    may have any lengths and come from any cells and terminations.  Entry k
-    is member k's WindingResult, or the ComputationError that
-    winding_number raises for it alone.
+    The members must share one Contour.  Their chains may have any lengths
+    and come from any cells and terminations.  Entry k is member k's
+    WindingResult, or the ComputationError that winding_number raises for
+    it alone.
     """
-    shared = {(p.steps_per_site, p.contour) for p in members}
+    shared = {p.contour for p in members}
     if len(shared) != 1:
-        raise ValueError("a batch needs members of one steps_per_site and one contour")
-    ((s, contour),) = shared
-    evaluate = _chain_evaluator([p.gammas for p in members], s)
+        raise ValueError("a batch needs members of one contour")
+    (contour,) = shared
+    evaluate = _chain_evaluator([p.gammas for p in members])
     return _refine(evaluate, len(members), contour)
 
 
@@ -668,10 +651,11 @@ def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def winding_oracle(gammas, steps_per_site: int = 1) -> int:
+def winding_oracle(gammas) -> int:
     """Argument-principle winding from explicit polynomial roots.
 
-    Builds the numerator and denominator of the rational f_0 by coefficient
+    Builds the numerator and denominator of the rational f_0, polynomials
+    in z with each site's step multiplying by w = z^2, by coefficient
     recursion and returns (zeros inside the disk) - (poles inside), the
     latter being 0 for genuine Schur data.  Restricted to short sequences
     with strictly sub-unit reflection so the root finding stays reliable;
@@ -685,13 +669,11 @@ def winding_oracle(gammas, steps_per_site: int = 1) -> int:
         raise ValueError(f"oracle limited to sequences of length <= 16, got {g.size}")
     if np.max(np.abs(g)) >= 1.0:
         raise ValueError("oracle requires strictly |gamma| < 1")
-    if steps_per_site not in (1, 2):
-        raise ValueError(f"steps_per_site must be 1 or 2, got {steps_per_site}")
 
     num = np.zeros(1)  # ascending coefficients
     den = np.ones(1)
     for gamma in g[::-1]:
-        shifted = np.concatenate([np.zeros(steps_per_site), num])
+        shifted = np.concatenate([np.zeros(2), num])
         num = _poly_add(gamma * den, shifted)
         den = _poly_add(den, gamma * shifted)
 

@@ -100,7 +100,10 @@ class Phason:
 
 Termination = Standard | PrefixOverride | Phason
 
-#: The complete set of locally allowed 3-letter surface terminations.
+#: The four 3-letter factors of the Fibonacci word, as surface heads.  Only
+#: ABA leaves the word a Fibonacci word: spliced onto the standard body, the
+#: AAB and BAB heads make BABAB and the BAA head makes AAA, and no Fibonacci
+#: word contains either.
 TERMINATION_PREFIXES = ("ABA", "AAB", "BAA", "BAB")
 
 DEFAULT_ENSEMBLE = tuple(PrefixOverride(p) for p in TERMINATION_PREFIXES)
@@ -174,7 +177,7 @@ def reflection_amplitudes(angles: np.ndarray) -> np.ndarray:
     walker that reaches site n moving right, (L, R) = (0, 1), leaves as
     (sin theta_n, cos theta_n), and the shift carries L left and R right:
     sin theta_n is reflected back toward the boundary, cos theta_n passes
-    on.  Out to site n and back costs two shifts, hence steps_per_site = 2.
+    on.  Out to site n and back costs two shifts, hence w = z^2 per site.
     So the walk's own boundary Schur function at |R, 0> has gamma_n =
     sin theta_n; the test suite builds it from the moments of U and pins
     the difference from cos theta_n as a strict xfail.  cos theta_n is the

@@ -160,8 +160,8 @@ def _sector_blocks(config: WalkConfig, frames: np.ndarray) -> Iterator[np.ndarra
     diagonals, each built only when asked for.
     """
     n = config.n_sites
-    if n < 2:  # build_unitary's limit, kept by the solver that builds no dense U
-        raise ValueError(f"build_unitary needs n_sites >= 2, got {n}")
+    if n < 2:  # the limit build_unitary keeps too
+        raise ValueError(f"quasienergies needs n_sites >= 2, got {n}")
     probes = np.zeros((3, 2, 2, n))  # [offset o, probed coin d, coin, site]
     for o in range(3):
         probes[o, 0, 0, o::3] = probes[o, 1, 1, o::3] = 1.0

@@ -225,20 +225,19 @@ def _mean(members: list[tuple[float, str]]) -> tuple[float, str]:
     return (float(np.mean(values)) if values else float("nan")), status
 
 
-def _winding_block(words, reduce, steps_per_site, contour, cells):
+def _winding_block(words, reduce, contour, cells):
     """(value, status) per cell: reduce over the cell's members, one per word."""
     members = [
-        schur.SchurParams(
-            reflection_amplitudes(angles_for(word, CoinAngles(*cell))), steps_per_site, contour)
+        schur.SchurParams(reflection_amplitudes(angles_for(word, CoinAngles(*cell))), contour)
         for cell in cells for word in words
     ]
     pairs = [_member(result) for result in schur.winding_numbers(members)]
     return [reduce(pairs[i : i + len(words)]) for i in range(0, len(pairs), len(words))]
 
 
-def _winding_map(grid, words, reduce, workers, steps_per_site, contour):
+def _winding_map(grid, words, reduce, workers, contour):
     """Per cell of grid, reduce over its members' (value, status) pairs."""
-    block_fn = partial(_winding_block, words, reduce, steps_per_site, contour)
+    block_fn = partial(_winding_block, words, reduce, contour)
     return _run_blocks(block_fn, grid.cells(), workers, _WINDING_BLOCK_CELLS)
 
 
@@ -267,13 +266,12 @@ def sweep_winding(
     grid: GridSpec,
     termination: Termination = Standard(),
     n_sites: int = schur.DEFAULT_CUTOFF,
-    steps_per_site: int = 2,
     contour: schur.Contour = schur.Contour(schur.SWEEP_SAMPLES),
     workers: int | None = 1,
 ) -> PhaseDiagram:
     """Schur winding number per grid cell for one surface termination."""
     word = word_for_termination(n_sites, termination)
-    results = _winding_map(grid, [word], itemgetter(0), workers, steps_per_site, contour)
+    results = _winding_map(grid, [word], itemgetter(0), workers, contour)
     return _diagram(grid, KIND_WINDING, termination_label(termination), results)
 
 
@@ -281,7 +279,6 @@ def sweep_winding_average(
     grid: GridSpec,
     ensemble: tuple[Termination, ...] = DEFAULT_ENSEMBLE,
     n_sites: int = schur.DEFAULT_CUTOFF,
-    steps_per_site: int = 2,
     contour: schur.Contour = schur.Contour(schur.SWEEP_SAMPLES),
     workers: int | None = 1,
 ) -> PhaseDiagram:
@@ -295,5 +292,5 @@ def sweep_winding_average(
         raise ValueError("ensemble must contain at least one termination")
     words = [word_for_termination(n_sites, term) for term in ensemble]
     label = "+".join(termination_label(term) for term in ensemble)
-    results = _winding_map(grid, words, _mean, workers, steps_per_site, contour)
+    results = _winding_map(grid, words, _mean, workers, contour)
     return _diagram(grid, KIND_WINDING_AVERAGE, label, results)

@@ -13,7 +13,7 @@ from fibwalk.cli import main as cli_main
 from fibwalk.dynamics import mcd_time_average
 from fibwalk.errors import IndeterminateRootError
 from fibwalk.schur import SchurParams, reflection_params, schur_eval, winding_number, winding_oracle
-from fibwalk.sequence import CoinAngles, PrefixOverride, Standard, standard_word
+from fibwalk.sequence import CoinAngles, PrefixOverride, standard_word
 from fibwalk.spectrum import quasienergies
 from fibwalk.sweep import GridSpec, STATUS_OK, sweep_mcd, sweep_winding_average
 from fibwalk.walk import WalkConfig, build_unitary
@@ -90,21 +90,15 @@ def test_criterion_3_exact_winding_quartet():
         )
         quartet[prefix] = (result.winding, result.ambiguous, expected)
     mean = sum(v[0] for v in quartet.values()) / 4.0
-    literal = winding_number(
-        reflection_params(HALF_PI, 0.0, 233, Standard(), steps_per_site=1)
-    )
     elapsed = time.monotonic() - t0
     ok = (
         all(w == exp and not amb for w, amb, exp in quartet.values())
         and mean == 1.5
-        and literal.winding == 1
-        and not literal.ambiguous
         and elapsed < 1.0
     )
     report(
         3, "exact winding quartet", ok,
-        f"({ {k: v[0] for k, v in quartet.items()} }, mean {mean}, "
-        f"s=1 gives {literal.winding}, {elapsed:.2f}s)",
+        f"({ {k: v[0] for k, v in quartet.items()} }, mean {mean}, {elapsed:.2f}s)",
     )
 
 
@@ -131,13 +125,13 @@ def test_criterion_5_winding_oracle_equivalence():
     for _ in range(200):
         n = int(rng.integers(1, 13))
         gammas = rng.uniform(-0.95, 0.95, n)
-        s = int(rng.integers(1, 3))
+        rng.integers(1, 3)  # keeps the stream, and so the 200 chains, of this seed
         try:
-            expected = winding_oracle(gammas, s)
+            expected = winding_oracle(gammas)
         except IndeterminateRootError:
             skipped += 1
             continue
-        result = winding_number(SchurParams(gammas=gammas, steps_per_site=s))
+        result = winding_number(SchurParams(gammas=gammas))
         checked += 1
         mismatches += result.winding != expected
     ok = mismatches == 0 and checked >= 150

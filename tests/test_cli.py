@@ -227,10 +227,19 @@ def test_nan_parameters_exit_one_without_output(case, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_invalid_flag_exits_one(capsys):
-    code, _, err = run(capsys, "winding", "--no-such-flag", "1")
-    assert code == 1
+WINDING_COMMANDS = ("schur-trace", "winding", "winding-map", "winding-average")
+
+
+# w = z^2 is the only Schur convention: no winding command takes a power of z
+@pytest.mark.parametrize("argv", [
+    ["winding", "--no-such-flag", "1"],
+    *([command, "--steps-per-site", "1"] for command in WINDING_COMMANDS),
+], ids=["no-such-flag", *(f"{command}-steps-per-site" for command in WINDING_COMMANDS)])
+def test_invalid_flag_exits_one(argv, tmp_path, capsys):
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
     assert "usage" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_run_and_edge_modes(tmp_path, capsys):
@@ -271,12 +280,20 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert sidecar["termination"] == "standard"  # default filled in
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
+# steps_per_site is in every winding sidecar written while the power of z
+# per site could be chosen
+@pytest.mark.parametrize("key, value", [("bogus", 3), ("steps_per_site", 2)])
+def test_config_rejects_unknown_keys(key, value, tmp_path, capsys):
+    written = tmp_path / "w.json"
+    assert run(capsys, "winding", *ROUND_TRIP_ARGS["winding"], "--output", str(written))[0] == 0
+    sidecar = json.loads(Path(str(written) + ".meta.json").read_text())
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"theta_a": 1.0, "theta_b": 0.0, "bogus": 3}))
-    code, _, err = run(capsys, "winding", "--config", str(cfg))
-    assert code == 1
-    assert "unknown key 'bogus'" in err
+    cfg.write_text(json.dumps({**sidecar, key: value}))
+    replay = tmp_path / "replay.json"
+    code, out, err = run(capsys, "winding", "--config", str(cfg), "--output", str(replay))
+    assert code == 1 and out == ""
+    assert f"unknown key '{key}'" in err
+    assert not replay.exists() and not Path(str(replay) + ".meta.json").exists()
 
 
 def test_config_rejects_boundary_contamination(tmp_path, capsys):

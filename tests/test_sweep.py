@@ -348,7 +348,7 @@ def test_winding_plateaus_are_quantized_on_a_coarse_grid():
     grid = GridSpec(resolution=21)
     words = [word_for_termination(DEFAULT_CUTOFF, t) for t in DEFAULT_ENSEMBLE]
     workers = min(4, os.cpu_count() or 1)
-    cells = _winding_map(grid, words, list, workers, 2, Contour(SWEEP_SAMPLES))
+    cells = _winding_map(grid, words, list, workers, Contour(SWEEP_SAMPLES))
     for k in range(len(DEFAULT_ENSEMBLE)):
         values = np.array([members[k][0] for members in cells]).reshape(21, 21)
         ok = np.array([members[k][1] == STATUS_OK for members in cells]).reshape(21, 21)
