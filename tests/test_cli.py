@@ -282,15 +282,18 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
 
 # steps_per_site is in every winding sidecar written while the power of z
 # per site could be chosen
-@pytest.mark.parametrize("key, value", [("bogus", 3), ("steps_per_site", 2)])
-def test_config_rejects_unknown_keys(key, value, tmp_path, capsys):
-    written = tmp_path / "w.json"
-    assert run(capsys, "winding", *ROUND_TRIP_ARGS["winding"], "--output", str(written))[0] == 0
+@pytest.mark.parametrize("command, key, value", [
+    ("winding", "bogus", 3),
+    *((command, "steps_per_site", 2) for command in WINDING_COMMANDS),
+], ids=["winding-bogus", *(f"{command}-steps_per_site" for command in WINDING_COMMANDS)])
+def test_config_rejects_unknown_keys(command, key, value, tmp_path, capsys):
+    written = tmp_path / "w.out"
+    assert run(capsys, command, *ROUND_TRIP_ARGS[command], "--output", str(written))[0] == 0
     sidecar = json.loads(Path(str(written) + ".meta.json").read_text())
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**sidecar, key: value}))
-    replay = tmp_path / "replay.json"
-    code, out, err = run(capsys, "winding", "--config", str(cfg), "--output", str(replay))
+    replay = tmp_path / "replay.out"
+    code, out, err = run(capsys, command, "--config", str(cfg), "--output", str(replay))
     assert code == 1 and out == ""
     assert f"unknown key '{key}'" in err
     assert not replay.exists() and not Path(str(replay) + ".meta.json").exists()

@@ -335,6 +335,40 @@ def test_oracle_equivalence_on_random_sequences():
     assert checked > 150
 
 
+def w_count(gammas):
+    """Zeros minus poles inside |w| < 1 of f_0 as a rational function of
+    w = z^2, from the roots of its numerator and denominator; None when a
+    root lies within 1e-6 of the circle."""
+    poly = np.polynomial.polynomial
+    num, den = np.zeros(1), np.ones(1)
+    for g in gammas[::-1]:
+        shifted = np.concatenate([[0.0], num])
+        num, den = poly.polyadd(g * den, shifted), poly.polyadd(den, g * shifted)
+    count = 0
+    for coeffs, sign in ((num, 1), (den, -1)):
+        roots = poly.polyroots(np.trim_zeros(coeffs, "b"))
+        if np.any(np.abs(np.abs(roots) - 1.0) < 1e-6):
+            return None
+        count += sign * int(np.count_nonzero(np.abs(roots) < 1.0))
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_count_in_w_is_half_the_winding(n):
+    # Each zero of f_0 in w gives two in z, at +-sqrt(w): the count a single
+    # power of z per site would give is W / 2.
+    rng = np.random.default_rng(300 + n)
+    checked = 0
+    for _ in range(10):
+        gammas = rng.uniform(-0.95, 0.95, n)
+        expected = w_count(gammas)
+        if expected is None:
+            continue
+        assert winding_number(SchurParams(gammas)).winding == 2 * expected
+        checked += 1
+    assert checked >= 8
+
+
 def test_winding_additivity_under_transparent_prefix():
     rng = np.random.default_rng(71)
     for _ in range(10):
@@ -809,6 +843,30 @@ def test_every_winding_is_even():
     for _ in range(40):
         gammas = rng.uniform(-0.95, 0.95, int(rng.integers(1, 60)))
         assert winding_number(SchurParams(gammas, contour=Contour(256))).winding % 2 == 0
+
+
+@pytest.mark.parametrize("name", list(CONJUGATION_CHAINS))
+def test_the_evaluator_is_even_in_z(name):
+    # f(-z) = f(z) and f'(-z) = -f'(z) bit for bit, poles included: the
+    # points z and -z share w = z^2 and dw/dz = 2 z changes only its sign.
+    z = np.concatenate([np.exp(1j * np.linspace(0.0, np.pi, 1001)), [1j, 0.5, 0.3j]])
+    chains = [CONJUGATION_CHAINS[name], CONJUGATION_CHAINS["random"]]
+    owner = np.repeat([0, 1], z.size)
+    evaluate = _chain_evaluator(chains)
+    f, fp, errors = evaluate(np.tile(z, 2), owner)
+    g, gp, reflected_errors = evaluate(np.tile(-z, 2), owner)
+    assert np.array_equal(f, g, equal_nan=True)
+    assert np.array_equal(-fp, gp, equal_nan=True)
+    assert {m: str(e) for m, e in errors.items()} == {m: str(e) for m, e in reflected_errors.items()}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_BATCHES))
+def test_every_batched_winding_is_even(name):
+    # Ambiguous windings too: the phase sum runs over the upper arc from
+    # f(1) to f(-1) = f(1), and the winding is twice its whole turns.
+    outcomes = [_outcome(r) for r in winding_numbers(REFERENCE_BATCHES[name])]
+    windings = [o[0] for o in outcomes if not isinstance(o[0], str)]
+    assert all(w % 2 == 0 for w in windings)
 
 
 @pytest.mark.xfail(
