@@ -23,12 +23,12 @@ One backward pass carries the derivative along with the value and returns
 the pair (f_0, df_0/dz); the contour refinement consumes that pair and uses
 |f'/f| to refine the contour where the phase of f_0 moves fast.
 
-Every gamma_n is real, so f_0 is a ratio of real polynomials in z and
-f_0(conj z) = conj f_0(z): the lower half of the circle is the mirror image
-of the upper.  A Schur winding is therefore refined on the closed upper
-arc [0, pi] only, from the ring's points below pi and then z = -1; each
-interval stands for itself and its mirror, and the winding is twice the
-arc's phase increments over 2 pi.
+Every gamma_n is real, so f_0(conj z) = conj f_0(z), and with f_0(-z) =
+f_0(z) each quarter of the circle is an image of the first.  A Schur
+winding is refined on the closed quarter arc [0, pi/2] only, from the
+ring's points below pi/2 and then z = i, where w = -1 and f_0 is real as
+at z = 1; each interval stands for four, and the winding is four times
+the arc's phase increments over 2 pi.
 
 Chains of one Contour are refined as one batch (winding_numbers; a single
 chain is a batch of one), whatever their lengths, cells and terminations.
@@ -100,7 +100,7 @@ _MAX_CONTOUR_POINTS = 1 << 21
 class Contour:
     """The contour a winding is refined on: samples, the size of the ring of
     equally spaced points that covers the whole unit circle, whose points
-    below pi, then z = -1, start the upper arc the winding is refined on
+    below pi/2, then z = i, start the quarter arc the winding is refined on
     (at most half the point budget, so that refinement keeps the other
     half); the |f| floor min_modulus below which the winding is
     ill-defined; and the bisection depth limit max_refine_depth."""
@@ -504,10 +504,11 @@ def _bad(la, ra, lf, rf, ll, rl, min_modulus):
 
 
 def _arc_points(angles):
-    """e^{i angle} on the upper arc, with z = -1 exactly at angle pi: f is
-    real there, as at z = 1, so the arc's phase sum meets its mirror's."""
+    """e^{i angle} on the quarter arc, with z = i exactly at angle pi/2:
+    w = -1 there, so f is real, as at z = 1, and the arc's phase sum meets
+    its images'."""
     z = np.exp(1j * angles)
-    z[angles == np.pi] = -1.0
+    z[angles == np.pi / 2] = 1j
     return z
 
 
@@ -515,12 +516,12 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     """Refine the contours of a batch of count members together, one
     evaluate call per round.
 
-    f(conj z) = conj f(z) is taken to hold, so the contour is the closed
-    upper arc [0, pi] and each of its intervals stands for itself and its
-    mirror image: it counts twice in the phase sum and in the point budget.
-    Every member starts from the same arc: the angles below pi of
-    contour.samples equally spaced on [0, 2 pi), then pi, which is z = -1
-    exactly, so f is real at both ends of the arc.  The result is flagged
+    f(conj z) = conj f(z) and f(-z) = f(z) are taken to hold, so the
+    contour is the closed quarter arc [0, pi/2] and each of its intervals
+    stands for four: itself, its mirror image and the images of both under
+    z -> -z.  Every member starts from the same arc: the angles below pi/2
+    of contour.samples equally spaced on [0, 2 pi), then pi/2, which is
+    z = i exactly, so f is real at both ends of the arc.  The result is flagged
     ambiguous when refinement is exhausted, the minimum modulus stays below
     contour.min_modulus, or the phase sum is not close to an integer.
 
@@ -537,8 +538,8 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     """
     samples, min_modulus = contour.samples, contour.min_modulus
     results: list = [None] * count
-    below = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: (samples + 1) // 2]
-    ring = np.append(below, np.pi)
+    below = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: (samples + 3) // 4]
+    ring = np.append(below, np.pi / 2)
     size = ring.size
     owner = np.repeat(np.arange(count), size)
     f, df, errors = evaluate(np.tile(_arc_points(ring), count), owner)
@@ -560,7 +561,7 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     store = [(owner, angles, f.ravel())]  # ordered by (owner, angle) at the end
     iv = (np.repeat(kept, size - 1), np.tile(ring[:-1], kept.size), np.tile(ring[1:], kept.size),
           f[:, :-1].ravel(), f[:, 1:].ravel(), logd[:, :-1].ravel(), logd[:, 1:].ravel())
-    points = np.full(count, 2 * size - 1)  # the whole circle, closed on its first point
+    points = np.full(count, 4 * size - 3)  # the whole circle, closed on its first point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
     level = 0
@@ -571,7 +572,7 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
         if level >= contour.max_refine_depth:
             exhausted[im[bad]] = True
             break
-        splits = 2 * np.bincount(im[bad], minlength=count)
+        splits = 4 * np.bincount(im[bad], minlength=count)
         full = live & (points + splits > _MAX_CONTOUR_POINTS)
         exhausted |= full
         live &= (splits > 0) & ~full
@@ -601,7 +602,7 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     for m in range(count):
         if results[m] is None:
             fvals = f[bounds[m] : bounds[m + 1]]
-            raw = float(np.sum(2 * np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
+            raw = float(np.sum(4 * np.angle(fvals[1:] / fvals[:-1])) / (2.0 * np.pi))
             min_abs = float(np.min(np.abs(fvals)))
             winding = round(raw)
             ambiguous = (

@@ -11,6 +11,8 @@ from fibwalk.errors import (
 )
 from fibwalk.schur import (
     _RESIDUAL_GUARD,
+    DEFAULT_CUTOFF,
+    SWEEP_SAMPLES,
     Contour,
     SchurParams,
     WindingResult,
@@ -43,6 +45,7 @@ from fibwalk.spectrum import (
     find_gaps,
     quasienergies,
 )
+from fibwalk.sweep import GridSpec
 from fibwalk.walk import WalkConfig, apply_step, localized_state
 
 
@@ -452,6 +455,27 @@ def test_f_at_w_one_is_the_first_mirror(z):
         assert abs(schur_eval(SchurParams(gammas), z) - mirror) <= 1e-15
 
 
+# At w = z^2 = -1 a site step is f -> (gamma - f)/(1 - gamma f), which is
+# tanh(atanh gamma - atanh f), so f_0(w = -1) = tanh(sum of (-1)^n atanh
+# gamma_n) up to the first mirror, while the alternating tail sums stay
+# moderate.
+W_MINUS_ONE = [1j, -1j]  # the points z with w = z^2 = -1
+
+
+@pytest.mark.parametrize("z", W_MINUS_ONE)
+def test_f_at_w_minus_one_is_tanh_of_the_alternating_atanh_sum(z):
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        n = int(rng.integers(1, 120))
+        # flipping every other sign makes the alternating tail sums of the
+        # gammas the plain tail sums of the bounded chain
+        gammas = (-1.0) ** np.arange(n) * bounded_tail_chain(rng, n)
+        alternating = (-1.0) ** np.arange(n) * np.arctanh(gammas)
+        assert np.max(np.abs(gammas)) < 1.0
+        assert np.max(np.abs(np.cumsum(alternating[::-1]))) <= 5.0 + 1e-12
+        assert abs(schur_eval(SchurParams(gammas), z) - np.tanh(alternating.sum())) < 1e-11
+
+
 @pytest.mark.parametrize("amplitude", [np.cos, np.sin], ids=["cos", "sin"])
 def test_the_sign_of_f_at_w_one_is_the_sign_of_lambda(amplitude):
     """On the standard word the letters A and B have frequencies 1/tau and
@@ -597,26 +621,31 @@ class ReferenceContour:
     insertion every round, with every interval re-tested: the plain form of
     the refinement, kept as a reference for the batched one.
 
-    The contour starts from the ring's angles with pi among them, which an
-    odd ring gains; pi is z = -1 exactly.  With upper_half it is the closed
-    upper arc, the angles below pi and then pi, each interval standing for
-    itself and its mirror image."""
+    The contour starts from the quarter ring: the ring's angles below
+    pi/2, then pi/2.  With quarter it is the closed quarter arc, each
+    interval standing for itself, its mirror image and the images of both
+    under z -> -z.  Without, it is the whole circle, from the orbit of the
+    quarter ring under z -> conj z and z -> -z, which is the plain ring
+    when 4 divides it.  pi/2, pi and 3 pi/2 are i, -1 and -i exactly."""
 
-    def __init__(self, samples, min_modulus, max_refine_depth, upper_half=False):
+    def __init__(self, samples, min_modulus, max_refine_depth, quarter=False):
         self.min_modulus = min_modulus
         self.max_refine_depth = max_refine_depth
-        self.fold = 2 if upper_half else 1
+        self.fold = 4 if quarter else 1
         ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        below, above = ring[: (samples + 1) // 2], ring[samples // 2 + 1 :]
-        self.angles = np.concatenate([below, [np.pi]] + ([] if upper_half else [above]))
+        self.angles = np.append(ring[: (samples + 3) // 4], np.pi / 2)
+        if not quarter:
+            half = np.concatenate([self.angles, np.pi - self.angles[-2::-1]])
+            self.angles = np.concatenate([half, 2.0 * np.pi - half[-2:0:-1]])
         self.fvals = None
         self.exhausted = False
         self.pending = self.angles
 
     def points(self):
-        """The pending points, with pi at z = -1 exactly."""
+        """The pending points, with pi/2, pi and 3 pi/2 exact."""
         z = np.exp(1j * self.pending)
-        z[self.pending == np.pi] = -1.0
+        for angle, exact in ((np.pi / 2, 1j), (np.pi, -1.0), (1.5 * np.pi, -1j)):
+            z[self.pending == angle] = exact
         return z
 
     def absorb(self, vals, derivs):
@@ -699,9 +728,9 @@ def reference_refine(evaluate, contours):
     return results
 
 
-def _reference_windings(members, upper_half=True):
+def _reference_windings(members, quarter=True):
     evaluate = _chain_evaluator([p.gammas for p in members])
-    contours = [ReferenceContour(**vars(p.contour), upper_half=upper_half) for p in members]
+    contours = [ReferenceContour(**vars(p.contour), quarter=quarter) for p in members]
     return [_outcome(r) for r in reference_refine(evaluate, contours)]
 
 
@@ -726,11 +755,15 @@ def _reference_batches():
         ("plain", silent, Contour(512)),
     ):
         batches[f"limits-{name}"] = [SchurParams(g, contour=contour) for g in (generic, early)]
-    # a pole at z = i, between points 4 and 5 of the 18-point ring, which
-    # the first round's midpoint hits, beside a member that refines plainly
+    # a pole at z = i, which the 18-point ring misses and its quarter arc
+    # ends on, and one at z = e^{i pi/6}, off w = +-1, where w f = 1 behind
+    # the near-mirror: the first round's midpoint between pi/9 and 2 pi/9
+    # hits it.  Each sits beside a member that refines plainly.
     late_pole = [0.0, -0.9, -(1.0 - 5e-15), -1.0]
-    batches["limits-late-pole"] = [SchurParams(g, contour=Contour(18))
-                                   for g in (late_pole, [0.3, 0.5, 0.2, -0.4])]
+    midpoint_pole = [0.0, 0.0, -(1.0 - 5e-15), 0.5, -1.0]
+    for name, pole in (("late-pole", late_pole), ("midpoint-pole", midpoint_pole)):
+        batches[f"limits-{name}"] = [SchurParams(g, contour=Contour(18))
+                                     for g in (pole, [0.3, 0.5, 0.2, -0.4])]
     return batches
 
 
@@ -751,22 +784,23 @@ def test_the_limit_cases_are_hit():
     assert float.fromhex(thin[2]) < 0.8 and thin[3:] == (4, True)
     assert silent[0] == "NoReflectionError"
     assert settled[0] == 4 and settled[3:] == (0, False)
-    late_pole, plain_member = REFERENCE_BATCHES["limits-late-pole"]
-    assert 0.99 < np.abs(schur_eval(late_pole, circle(18))).min() <= 1.0
-    batched = [_outcome(r) for r in winding_numbers([late_pole, plain_member])]
-    assert batched[0][0] == "PoleOnContourError" and "recursion step 2 " in batched[0][1]
-    assert batched == [_alone(late_pole), _alone(plain_member)]
+    for name in ("late-pole", "midpoint-pole"):
+        pole, plain_member = REFERENCE_BATCHES[f"limits-{name}"]
+        assert 0.99 < np.abs(schur_eval(pole, circle(18))).min() <= 1.0
+        batched = [_outcome(r) for r in winding_numbers([pole, plain_member])]
+        assert batched[0][0] == "PoleOnContourError" and "recursion step 2 " in batched[0][1]
+        assert batched == [_alone(pole), _alone(plain_member)]
 
 
 def _arc_members():
-    """Every member of REFERENCE_BATCHES, and members on rings of 17, 255 and
-    257 samples, grouped in batches of one contour."""
+    """Every member of REFERENCE_BATCHES, and members on rings of 17, 254,
+    255 and 257 samples, grouped in batches of one contour."""
     batches = list(REFERENCE_BATCHES.values())
     coins = CoinAngles(1.0, 0.4)
     chains = [reflection_amplitudes(angles_for(word_for_termination(89, t), coins))
               for t in (Standard(), PrefixOverride("AAB"), Phason(0.37))]
     chains.append(np.random.default_rng(17).uniform(-0.95, 0.95, 40))
-    for samples in (17, 255, 257):
+    for samples in (17, 254, 255, 257):
         batches.append([SchurParams(g, contour=Contour(samples)) for g in chains])
     return batches
 
@@ -778,17 +812,19 @@ def _kind(outcome):
     return "ok", outcome[0], outcome[4]
 
 
-def test_the_upper_arc_agrees_with_the_whole_circle():
+def test_the_quarter_arc_agrees_with_the_whole_circle():
+    # The whole circle starts from the quarter ring's orbit: from a plain
+    # ring of 255 or 257 points an r = 1 count near the circle can move
+    # with the start points on either side.
     for batch in _arc_members():
         arc = [_kind(_outcome(r)) for r in winding_numbers(batch)]
-        assert arc == [_kind(o) for o in _reference_windings(batch, upper_half=False)]
+        assert arc == [_kind(o) for o in _reference_windings(batch, quarter=False)]
 
 
-def test_the_late_pole_is_found_at_a_first_round_midpoint():
-    # The 18-point arc is 9 points below pi and pi; the interval from 4 pi / 9
-    # to 5 pi / 9 splits in the first round, and z = i hits the pole there.
-    late_pole, _ = REFERENCE_BATCHES["limits-late-pole"]
-    evaluate = _chain_evaluator([late_pole.gammas])
+def _recorded_rounds(params):
+    """(result, rounds) of one member's refinement, each round the evaluated
+    points, their f and the errors."""
+    evaluate = _chain_evaluator([params.gammas])
     rounds = []
 
     def recording(z, owner):
@@ -796,11 +832,30 @@ def test_the_late_pole_is_found_at_a_first_round_midpoint():
         rounds.append((z, f, errors))
         return f, fp, errors
 
-    (result,) = _refine(recording, 1, late_pole.contour)
+    (result,) = _refine(recording, 1, params.contour)
+    return result, rounds
+
+
+def test_the_pole_at_z_i_is_found_on_the_ring():
+    # The 18-point quarter arc is the 5 ring points below pi/2 and then
+    # z = i, where the late pole sits: the ring round meets it.
+    late_pole, _ = REFERENCE_BATCHES["limits-late-pole"]
+    result, rounds = _recorded_rounds(late_pole)
+    assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
+    ((ring, f, errors),) = rounds
+    assert ring.size == 6 and list(errors) == [0]
+    assert np.array_equal(ring[np.isnan(f)], [1j])
+
+
+def test_a_pole_is_found_at_a_first_round_midpoint():
+    # The interval from pi/9 to 2 pi/9 splits in the first round, and its
+    # midpoint e^{i pi/6} hits the pole.
+    midpoint_pole, _ = REFERENCE_BATCHES["limits-midpoint-pole"]
+    result, rounds = _recorded_rounds(midpoint_pole)
     assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
     (ring, _, ring_errors), (z, f, errors) = rounds
-    assert ring.size == 10 and not ring_errors and list(errors) == [0]
-    assert np.array_equal(z[np.isnan(f)], [np.exp(0.5j * np.pi)])
+    assert ring.size == 6 and not ring_errors and list(errors) == [0]
+    assert z[np.isnan(f)].size == 1 and abs(z[np.isnan(f)][0] - np.exp(1j * np.pi / 6)) < 1e-15
 
 
 CONJUGATION_CHAINS = {
@@ -814,8 +869,8 @@ CONJUGATION_CHAINS = {
 
 @pytest.mark.parametrize("name", list(CONJUGATION_CHAINS))
 def test_the_evaluator_commutes_with_conjugation(name):
-    # f(conj z) = conj f(z) bit for bit, poles included: the upper arc
-    # stands for the whole circle.
+    # f(conj z) = conj f(z) bit for bit, poles included: with f(-z) = f(z)
+    # the quarter arc stands for the whole circle.
     z = np.concatenate([np.exp(1j * np.linspace(0.0, np.pi, 1001)), [1.0, -1.0, 1j]])
     chains = [CONJUGATION_CHAINS[name], CONJUGATION_CHAINS["random"]]
     owner = np.repeat([0, 1], z.size)
@@ -837,8 +892,8 @@ def test_f_is_even_in_z():
 
 
 def test_every_winding_is_even():
-    # f(1) = f(-1) exactly, so the upper arc's phase sum is whole turns, and
-    # the winding, twice that sum, is even.
+    # f(1) and f(i) are real, so the quarter arc's phase sum is whole half
+    # turns, and the winding, four times that sum, is even.
     rng = np.random.default_rng(109)
     for _ in range(40):
         gammas = rng.uniform(-0.95, 0.95, int(rng.integers(1, 60)))
@@ -862,11 +917,38 @@ def test_the_evaluator_is_even_in_z(name):
 
 @pytest.mark.parametrize("name", list(REFERENCE_BATCHES))
 def test_every_batched_winding_is_even(name):
-    # Ambiguous windings too: the phase sum runs over the upper arc from
-    # f(1) to f(-1) = f(1), and the winding is twice its whole turns.
+    # Ambiguous windings too: the phase sum runs over the quarter arc from
+    # f(1) to f(i), both real, and the winding is four times its half turns.
     outcomes = [_outcome(r) for r in winding_numbers(REFERENCE_BATCHES[name])]
     windings = [o[0] for o in outcomes if not isinstance(o[0], str)]
     assert all(w % 2 == 0 for w in windings)
+
+
+def _sign_batch(name):
+    """A REFERENCE_BATCHES batch, or "grid": the members of an 11x11
+    winding-average map on the sweep's contour."""
+    if name != "grid":
+        return REFERENCE_BATCHES[name]
+    words = [word_for_termination(DEFAULT_CUTOFF, t) for t in DEFAULT_ENSEMBLE]
+    return [SchurParams(reflection_amplitudes(angles_for(word, CoinAngles(*cell))),
+                        Contour(SWEEP_SAMPLES))
+            for cell in GridSpec(resolution=11).cells() for word in words]
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_BATCHES, "grid"])
+def test_the_winding_is_two_mod_four_where_f_changes_sign(name):
+    # Ambiguous windings too: the quarter arc's phase sum is arg f(i) -
+    # arg f(1) up to whole turns, with f(1) and f(i) real, so four times it
+    # is 2 mod 4 exactly when their signs differ.
+    batch = _sign_batch(name)
+    ambiguous = 0
+    for params, result in zip(batch, winding_numbers(batch)):
+        if isinstance(result, ComputationError):
+            continue
+        f_one, f_i = schur_eval(params, np.array([1.0, 1j])).real
+        assert (result.winding // 2) % 2 == (np.sign(f_one) != np.sign(f_i))
+        ambiguous += result.ambiguous
+    assert name != "grid" or ambiguous >= 50
 
 
 @pytest.mark.xfail(
