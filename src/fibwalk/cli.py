@@ -14,6 +14,7 @@ worker pool included).  A call that fails leaves none of its output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,6 +162,7 @@ _ANGLE_KEYS = (
 )
 
 
+@functools.cache  # built once per process: parsing leaves the parsers as they were
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog="fibwalk",

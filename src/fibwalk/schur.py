@@ -32,10 +32,18 @@ the arc's phase increments over 2 pi.
 
 Chains of one Contour are refined as one batch (winding_numbers; a single
 chain is a batch of one), whatever their lengths, cells and terminations.
-Every member starts from the same ring of samples.  Each round evaluates,
-in one pass, the midpoints of every interval pending a split, tagged with
-an owner index; only the two halves of each split are tested next, and
-each member's contour is put in order once, at the end.  A chain's first
+Every member starts from the same ring of samples.  Each round takes the
+midpoints of every interval pending a split, tagged with an owner index;
+only the two halves of each split are tested next, and each member's
+contour is put in order once, at the end.  A round whose intervals are
+few looks ahead: one evaluation pass holds its midpoints and the whole
+bisection subtrees below them, a few levels deep (at most _LOOKAHEAD
+points past the midpoints, never past the depth limit), and the next
+rounds take their midpoints from it, found by exact equality, until one
+needs a point it lacks.  Only the points a round takes count, enter the
+contour or end a member; a lookahead pass that reports an error is
+dropped, and the round evaluates its midpoints alone, so every result
+and every error is that of the round-by-round refinement.  A chain's first
 three sites are its head -- the four prefix terminations differ
 only there -- and the sites after them, up to its first reflector, are
 its body.  In homogeneous form f = num/den a site multiplies (num, den)
@@ -91,6 +99,7 @@ _DENOMINATOR_FLOOR = 1e-14
 _MIRROR_GAP = 1e-12  # 1 - |gamma| below this: the site is stepped alone
 _HEAD_SITES = 3  # the prefix terminations differ in these sites only
 _CHUNK = 1 << 14  # distinct points per pass over a body's rules
+_LOOKAHEAD = 128  # speculative points per refinement round, at most
 _LOST_BITS = 20  # a product that cancels more is applied as its pair
 _RESIDUAL_GUARD = 0.01
 _MAX_CONTOUR_POINTS = 1 << 21
@@ -512,9 +521,37 @@ def _arc_points(angles):
     return z
 
 
+_NOTHING_AHEAD = (np.empty(0, dtype=np.complex128),) * 3
+
+
+def _look_ahead(evaluate, im, la, ra, levels):
+    """(key, f, f'), from one evaluate call, at the midpoints of the
+    intervals from la to ra, owned by im, and of every interval below them,
+    levels deep; key is owner + 1j angle, and all three are sorted by it.
+    Each midpoint is computed as a later round computes it, so that round
+    finds it by exact equality.  Empty when levels < 2, and when the call
+    reports an error."""
+    if levels < 2:
+        return _NOTHING_AHEAD
+    owners, angles = [], []
+    for _ in range(levels):
+        mid = (la + ra) / 2.0
+        owners.append(im)
+        angles.append(mid)
+        im = np.repeat(im, 2)
+        la, ra = np.stack((la, mid), axis=1).ravel(), np.stack((mid, ra), axis=1).ravel()
+    owner, angle = np.concatenate(owners), np.concatenate(angles)
+    f, df, errors = evaluate(_arc_points(angle), owner)
+    if errors:
+        return _NOTHING_AHEAD
+    key = owner + 1j * angle
+    order = np.argsort(key)
+    return key[order], f[order], df[order]
+
+
 def _refine(evaluate, count, contour: Contour) -> list[WindingResult | ComputationError]:
-    """Refine the contours of a batch of count members together, one
-    evaluate call per round.
+    """Refine the contours of a batch of count members together, at most
+    one evaluate call per round, besides a dropped lookahead call.
 
     f(conj z) = conj f(z) and f(-z) = f(z) are taken to hold, so the
     contour is the closed quarter arc [0, pi/2] and each of its intervals
@@ -530,7 +567,17 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     errors) with errors mapping failed members to their ComputationError.
     Only the two halves of each split interval are tested: every interval
     a round creates has the round's depth, and an interval that is not
-    split never changes.  A member that fails, has no reflection, runs out
+    split never changes.  When a round has few intervals, its call looks
+    ahead (_look_ahead): it also holds the midpoints of the whole subtrees
+    below them, the deepest levels for which that adds at most _LOOKAHEAD
+    points and never past contour.max_refine_depth.  A later round whose
+    midpoints are all among them, compared by (owner, angle) with exact
+    equality, takes their values and makes no call.  Each point's f and f'
+    do not depend on the points beside it in a call, so the results are
+    those of one call per round: only the points a round takes enter the
+    contour, count against the point budget or can end a member, and a
+    lookahead call that reports an error is dropped for a call on the
+    round's midpoints alone.  A member that fails, has no reflection, runs out
     of points or has nothing left to split leaves the batch; the others go
     on, until the depth reaches contour.max_refine_depth.  Each member's
     contour is put in order once, at the end.  Returns one WindingResult
@@ -564,6 +611,7 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
     points = np.full(count, 4 * size - 3)  # the whole circle, closed on its first point
     exhausted = np.zeros(count, dtype=bool)
     depth = np.zeros(count, dtype=np.int64)
+    ahead = _NOTHING_AHEAD
     level = 0
     while True:
         im = iv[0]
@@ -582,7 +630,18 @@ def _refine(evaluate, count, contour: Contour) -> list[WindingResult | Computati
         go = bad & live[im]
         im, la, ra, lf, rf, ll, rl = (a[go] for a in iv)
         mid = (la + ra) / 2.0
-        mf, mdf, errors = evaluate(_arc_points(mid), im)
+        key = im + 1j * mid
+        at = np.searchsorted(ahead[0], key).clip(max=ahead[0].size - 1)
+        if not (ahead[0].size and np.array_equal(ahead[0][at], key)):
+            # the most levels with mid.size * (2^levels - 1) <= _LOOKAHEAD
+            levels = min((_LOOKAHEAD // mid.size + 1).bit_length() - 1,
+                         contour.max_refine_depth - level)
+            ahead = _look_ahead(evaluate, im, la, ra, levels)
+            at = np.searchsorted(ahead[0], key)
+        if ahead[0].size:
+            mf, mdf, errors = ahead[1][at], ahead[2][at], {}
+        else:
+            mf, mdf, errors = evaluate(_arc_points(mid), im)
         for m, error in errors.items():
             results[m], live[m] = error, False
         store.append((im, mid, mf))

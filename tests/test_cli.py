@@ -502,9 +502,9 @@ def test_version_flag(capsys):
     assert out.startswith("fibwalk ")
 
 
-def _module_main(*argv):
+def _module_main(*argv, cwd=None):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    return subprocess.run([sys.executable, "-m", "fibwalk", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "fibwalk", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True)
 
 
@@ -515,6 +515,26 @@ def test_package_entry_point_passes_the_exit_code_on():
     bare = _module_main()
     assert bare.returncode == 1
     assert "a subcommand is required" in bare.stderr
+
+
+def test_a_failed_parse_leaves_the_next_call_as_in_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; a call that fails to parse must
+    # leave it as it was.
+    bad = ("winding", "--theta-a", "1.0", "--theta-b", "0.4", "--format", "xml")
+    good = ("winding", "--theta-a", "1.0", "--theta-b", "0.4", "--n", "34", "--output", "w.json")
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    expected = {}
+    for argv in (bad, good):
+        done = _module_main(*argv, cwd=fresh)
+        expected[argv] = (done.returncode, done.stdout, done.stderr)
+    monkeypatch.chdir(here)
+    assert expected[bad][0] == 1
+    assert run(capsys, *bad) == expected[bad]
+    assert run(capsys, *good) == expected[good] and expected[good][0] == 0
+    for name in ("w.json", "w.json.meta.json"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_help_golden_files(capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fibwalk import schur
 from fibwalk.errors import (
     ComputationError,
     IndeterminateRootError,
@@ -16,6 +17,7 @@ from fibwalk.schur import (
     Contour,
     SchurParams,
     WindingResult,
+    _arc_points,
     _chain_evaluator,
     _logd,
     _refine,
@@ -683,7 +685,7 @@ class ReferenceContour:
         if not splittable.any():
             self.exhausted = bool((bad & (self.depth >= self.max_refine_depth)).any())
             return False
-        if self.fold * (self.depth.size + splittable.sum()) + 1 > 1 << 21:
+        if self.fold * (self.depth.size + splittable.sum()) + 1 > schur._MAX_CONTOUR_POINTS:
             self.exhausted = True
             return False
         self.splitting = splittable
@@ -849,13 +851,95 @@ def test_the_pole_at_z_i_is_found_on_the_ring():
 
 def test_a_pole_is_found_at_a_first_round_midpoint():
     # The interval from pi/9 to 2 pi/9 splits in the first round, and its
-    # midpoint e^{i pi/6} hits the pole.
+    # midpoint e^{i pi/6} hits the pole.  The round looks ahead first; that
+    # call meets the pole, so its values are dropped and the round's
+    # midpoints are evaluated alone, which ends the member.
     midpoint_pole, _ = REFERENCE_BATCHES["limits-midpoint-pole"]
     result, rounds = _recorded_rounds(midpoint_pole)
     assert isinstance(result, PoleOnContourError) and "recursion step 2 " in str(result)
-    (ring, _, ring_errors), (z, f, errors) = rounds
+    (ring, _, ring_errors), (ahead, _, ahead_errors), (z, f, errors) = rounds
     assert ring.size == 6 and not ring_errors and list(errors) == [0]
+    assert list(ahead_errors) == [0] and ahead.size > z.size and np.isin(z, ahead).all()
+    assert str(errors[0]) == str(result)
     assert z[np.isnan(f)].size == 1 and abs(z[np.isnan(f)][0] - np.exp(1j * np.pi / 6)) < 1e-15
+
+
+# a member that refines 14 rounds deep, its later rounds small enough to look ahead
+DEEP_MEMBER = reflection_params(2.5, -1.0, 233, PrefixOverride("ABA"), contour=Contour(2048))
+
+
+@pytest.mark.parametrize("params", [DEEP_MEMBER, REFERENCE_BATCHES["limits-exhausted"][0]],
+                         ids=["deep", "limits-exhausted"])
+def test_a_deep_member_takes_fewer_calls_than_rounds(params):
+    # Small rounds look ahead: one call serves several rounds.
+    result, rounds = _recorded_rounds(params)
+    assert _outcome(result) == _reference_windings([params])[0]
+    assert len(rounds) - 1 < result.refine_depth_used
+
+
+def test_a_pole_only_looked_ahead_at_leaves_the_member_as_it_was():
+    # The pole of the midpoint-pole chain moved to a depth-3 point below the
+    # interval from pi/9 to 2 pi/9: w f = 1 behind the near-mirror where
+    # cos(2 angle) = gamma_3.  The refinement stops at depth 2 there, but
+    # the first two rounds look ahead to depth 3 and meet the pole; both
+    # calls are dropped, and the member ends as the reference ends it.
+    ring = np.linspace(0.0, 2.0 * np.pi, 18, endpoint=False)
+    la, mid = ring[1], (ring[1] + ring[2]) / 2.0
+    angle = (la + (la + mid) / 2.0) / 2.0
+    params = SchurParams([0.0, 0.0, -(1.0 - 5e-15), np.cos(2.0 * angle), -1.0], Contour(18))
+    result, rounds = _recorded_rounds(params)
+    assert isinstance(result, WindingResult) and not result.ambiguous
+    assert _outcome(result) == _reference_windings([params])[0]
+    met = [z for z, _, errors in rounds if errors]
+    assert len(met) == 2 and all(_arc_points(np.array([angle]))[0] in z for z in met)
+
+
+def _tree_depths(contour):
+    """Each point of the quarter arc's bisection tree, down to
+    contour.max_refine_depth, mapped to its depth."""
+    samples = contour.samples
+    ring = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)[: (samples + 3) // 4]
+    la, ra = ring, np.append(ring[1:], np.pi / 2)
+    depths = {}
+    for depth in range(1, contour.max_refine_depth + 1):
+        mid = (la + ra) / 2.0
+        depths.update(dict.fromkeys(_arc_points(mid).tolist(), depth))
+        la, ra = np.stack((la, mid), axis=1).ravel(), np.stack((mid, ra), axis=1).ravel()
+    return depths
+
+
+@pytest.mark.parametrize("params", [
+    REFERENCE_BATCHES["limits-exhausted"][0], REFERENCE_BATCHES["limits-thin"][0],
+    reflection_params(2.5, -1.0, 233, PrefixOverride("ABA"), contour=Contour(256, max_refine_depth=3)),
+], ids=["limits-exhausted", "limits-thin", "deep-3"])
+def test_no_call_looks_past_the_depth_limit(params):
+    # Every point a refinement call holds lies in the bisection tree, and
+    # the lookahead reaches its last level but never goes past it.
+    result, (_, *rounds) = _recorded_rounds(params)
+    assert _outcome(result) == _reference_windings([params])[0]
+    depths = _tree_depths(params.contour)
+    held = [depths[z] for points, _, _ in rounds for z in points.tolist()]
+    assert max(held) == params.contour.max_refine_depth
+
+
+def test_a_member_out_of_points_is_flagged_as_before(monkeypatch):
+    # A budget that runs out halfway through each round in turn, the rounds
+    # served by a lookahead call included.
+    evaluate = _chain_evaluator([DEEP_MEMBER.gammas])
+    sizes = []
+
+    def recording(z, owner):
+        sizes.append(z.size)
+        return evaluate(z, owner)
+
+    reference_refine(recording, [ReferenceContour(**vars(DEEP_MEMBER.contour), quarter=True)])
+    ring, *splits = sizes
+    used = 4 * ring - 3 + 4 * np.cumsum([0, *splits[:-1]])
+    for level, (before, split) in enumerate(zip(used, splits)):
+        monkeypatch.setattr(schur, "_MAX_CONTOUR_POINTS", int(before + 2 * split))
+        outcome = _alone(DEEP_MEMBER)
+        assert outcome == _reference_windings([DEEP_MEMBER])[0]
+        assert outcome[3:] == (level, True)
 
 
 CONJUGATION_CHAINS = {
